@@ -186,9 +186,9 @@ def random_codebook(n_ant: int, n_entries: int, n_cols: int, phase_bits: int,
     return _from_indices(KIND_RANDOM, n_ant, phase_bits, idx)
 
 
-def _combined_indices(n_ant: int, n_entries: int, phase_bits: int,
-                      rotations: np.ndarray) -> np.ndarray:
-    """Quantizer indices for phase-only combined DFT beams.
+def _combined_entry_indices(n_ant: int, n_entries: int, phase_bits: int,
+                            rotations: np.ndarray, m: int) -> np.ndarray:
+    """Quantizer indices of entry m of a phase-only combined DFT codebook.
 
     rotations[m, j] is the quantizer index of the phase applied to
     constituent beam j of entry m before summing. Sums are built from
@@ -198,16 +198,20 @@ def _combined_indices(n_ant: int, n_entries: int, phase_bits: int,
     beams_per = n_ant // n_entries
     levels = 1 << phase_bits
     n = np.arange(n_ant)[:, None]
-    idx = np.empty((n_entries, n_ant, 1), dtype=np.int64)
-    for m in range(n_entries):
-        beams = m + n_entries * np.arange(beams_per)
-        ang = 2.0 * np.pi * ((n * beams) % n_ant) / n_ant \
-            + 2.0 * np.pi * rotations[m] / levels
-        s = np.exp(1j * ang).sum(axis=1)
-        col = _quantize_indices(np.angle(s), phase_bits)
-        col[np.abs(s) < _ZERO_SUM_TOL * beams_per] = 0
-        idx[m, :, 0] = col
-    return idx
+    beams = m + n_entries * np.arange(beams_per)
+    ang = 2.0 * np.pi * ((n * beams) % n_ant) / n_ant \
+        + 2.0 * np.pi * rotations[m] / levels
+    s = np.exp(1j * ang).sum(axis=1)
+    col = _quantize_indices(np.angle(s), phase_bits)
+    col[np.abs(s) < _ZERO_SUM_TOL * beams_per] = 0
+    return col
+
+
+def _combined_indices(n_ant: int, n_entries: int, phase_bits: int,
+                      rotations: np.ndarray) -> np.ndarray:
+    """Quantizer indices of every entry, shape (n_entries, n_ant, 1)."""
+    return np.stack([_combined_entry_indices(n_ant, n_entries, phase_bits, rotations, m)
+                     for m in range(n_entries)])[:, :, None]
 
 
 def multi_beam_dft_codebook(n_ant: int, n_entries: int = 64,
@@ -284,8 +288,8 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
                     continue
                 old = rotations[m, j]
                 rotations[m, j] = cand
-                col_idx = _combined_indices_one(n_ant, n_entries, phase_bits,
-                                                rotations, m)
+                col_idx = _combined_entry_indices(n_ant, n_entries, phase_bits,
+                                                  rotations, m)
                 new_row = table[col_idx] @ atoms_conj
                 old_row = eff[m].copy()
                 eff[m] = new_row
@@ -297,20 +301,6 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
                     rotations[m, j] = old
                     eff[m] = old_row
     return _from_indices(KIND_DESIGNED, n_ant, phase_bits, idx)
-
-
-def _combined_indices_one(n_ant, n_entries, phase_bits, rotations, m):
-    """Single-entry version of _combined_indices, same arithmetic."""
-    beams_per = n_ant // n_entries
-    levels = 1 << phase_bits
-    n = np.arange(n_ant)[:, None]
-    beams = m + n_entries * np.arange(beams_per)
-    ang = 2.0 * np.pi * ((n * beams) % n_ant) / n_ant \
-        + 2.0 * np.pi * rotations[m] / levels
-    s = np.exp(1j * ang).sum(axis=1)
-    col = _quantize_indices(np.angle(s), phase_bits)
-    col[np.abs(s) < _ZERO_SUM_TOL * beams_per] = 0
-    return col
 
 
 def save_codebook(cb: Codebook, path) -> None:

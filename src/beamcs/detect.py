@@ -28,7 +28,6 @@ class BeamPair(NamedTuple):
 @dataclass(frozen=True)
 class DetectionOutcome:
     estimated: tuple          # BeamPairs, detection confidence descending
-    truth: frozenset
     support: tuple | None = None
     coefficients: np.ndarray | None = None
     ridge_flagged: bool = False
@@ -80,17 +79,17 @@ def exhaustive_search(meas: MeasurementSet, n_pairs: int) -> DetectionOutcome:
     is n_tx_entries x (n_rx_entries * n_rf_ue). Ties break toward the
     lower tx index, then the lower rx index.
     """
-    energy = meas.per_block_energy.sum(axis=3)
-    n_tx = energy.shape[0]
-    n_rxb = energy.shape[1] * energy.shape[2]
-    metric = energy.reshape(n_tx, n_rxb).reshape(-1)
+    cfg = meas.config
+    n_rxb = cfg.n_rx_entries * cfg.n_rf_ue
+    # per pilot, y runs over tx entry, rx entry, chain: flat index tx * n_rxb + rx
+    metric = (np.abs(meas.y.reshape(cfg.n_pilots, -1)) ** 2).sum(axis=0)
     if not 1 <= n_pairs <= metric.size:
         raise ValueError("n_pairs must lie in [1, %d]" % metric.size)
     tx_idx = np.arange(metric.size) // n_rxb
     rx_idx = np.arange(metric.size) % n_rxb
     order = np.lexsort((rx_idx, tx_idx, -metric))
     est = tuple(BeamPair(int(tx_idx[i]), int(rx_idx[i])) for i in order[:n_pairs])
-    return DetectionOutcome(estimated=est, truth=frozenset())
+    return DetectionOutcome(estimated=est)
 
 
 class _MatrixOperator:
@@ -114,10 +113,13 @@ def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     """Orthogonal matching pursuit with column-normalized selection.
 
     op is a SensingOperator or a dense matrix. Selection maximizes
-    |column^H residual| / ||column||, ties to the lower index, previously
-    selected columns excluded. If the selected columns go rank deficient
-    the least-squares step falls back to a ridge solve with
-    1e-12 * (max column norm)^2 and the result is flagged.
+    |column^H residual| / ||column||, previously selected columns
+    excluded. Bit-equal scores go to the lower index. Columns that alias
+    in the transmit factor (multi-beam codebooks) score equal only up to
+    rounding, so among those rounding, not the index, picks the winner.
+    If the selected columns go rank deficient the least-squares step
+    falls back to a ridge solve with 1e-12 * (max column norm)^2 and the
+    result is flagged.
     """
     if isinstance(op, np.ndarray):
         op = _MatrixOperator(op)
@@ -158,7 +160,7 @@ def _bin_to_beam(g_bin: int, n_bins: int, n_beams: int) -> int:
     return int(math.floor(g_bin * n_beams / n_bins + 0.5)) % n_beams
 
 
-def cs_detect(op: SensingOperator, meas, sparsity: int, n_tx_beams: int,
+def cs_detect(op: SensingOperator, meas: MeasurementSet, sparsity: int, n_tx_beams: int,
               n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
     """Sparse-recovery detector.
 
@@ -172,8 +174,7 @@ def cs_detect(op: SensingOperator, meas, sparsity: int, n_tx_beams: int,
         raise ValueError("grid sizes must be multiples of the beam counts")
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    y = meas.y if isinstance(meas, MeasurementSet) else np.asarray(meas)
-    result = omp(op, y, sparsity)
+    result = omp(op, meas.y, sparsity)
 
     def to_pair(g: int) -> BeamPair:
         gt, gr = divmod(int(g), op.n_rx_bins)
@@ -197,8 +198,7 @@ def cs_detect(op: SensingOperator, meas, sparsity: int, n_tx_beams: int,
                 est.append(pair)
             if len(est) == n_pairs:
                 break
-    return DetectionOutcome(estimated=tuple(est), truth=frozenset(),
-                            support=result.support,
+    return DetectionOutcome(estimated=tuple(est), support=result.support,
                             coefficients=result.coefficients,
                             ridge_flagged=result.ridge_flagged)
 

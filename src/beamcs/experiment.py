@@ -9,6 +9,11 @@ from (master, 4, n_ant_bs). Results are therefore byte-identical for any
 worker count: channels are shared across SNR points and methods (paired
 comparison), and aggregation sorts by (trial, snr, method) before any
 output is written.
+
+Every detector is told n_pairs = len(truth), the number of distinct true
+beam pairs of the trial, and reports that many pairs. p_all and p_single
+therefore describe a receiver that knows the true pair count; no method
+uses a stopping rule of its own.
 """
 
 import argparse
@@ -46,7 +51,6 @@ _TAG_CHANNEL, _TAG_NOISE, _TAG_CODEBOOK, _TAG_DESIGN = 1, 2, 3, 4
 class ExperimentConfig:
     n_ant_bs: int = 64
     n_ant_ue: int = 8
-    n_rf_bs: int = 8
     n_rf_ue: int = 4
     phase_bits: int = 6
     n_tx_entries: int = 64
@@ -55,8 +59,6 @@ class ExperimentConfig:
     rx_grid_mult: int = 3
     n_fft: int = 4096
     sample_rate: float = 491.52e6
-    subcarrier_spacing: float = 120e3
-    bandwidth: float = 400e6
     n_pilots: int = 10
     n_clusters: int = 2
     n_rays: int = 3
@@ -91,12 +93,22 @@ class ExperimentConfig:
                 raise ValueError("unknown method %r (choose from %s)" % (m, ", ".join(METHODS)))
         if not self.methods:
             raise ValueError("methods must not be empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("duplicate method in methods: %s" % ", ".join(self.methods))
+        multi_beam = [m for m in self.methods if m in (METHOD_OMP_MULTIBEAM, METHOD_OMP_DESIGNED)]
+        if multi_beam and self.n_ant_bs % self.n_tx_entries:
+            raise ValueError("%s requires n_ant_bs to be a multiple of n_tx_entries"
+                             % multi_beam[0])
+        if self.n_rx_beams > self.n_ant_ue:
+            raise ValueError("n_rx_entries * n_rf_ue must not exceed n_ant_ue")
         if METHOD_ES in self.methods and self.n_tx_entries < self.n_tx_beams:
             raise ValueError("exhaustive search requires M_BS ≥ n_tx_beams")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if not self.snr_db:
             raise ValueError("snr_db must not be empty")
+        if len({_snr_key(s) for s in self.snr_db}) != len(self.snr_db):
+            raise ValueError("snr_db points must differ after rounding to 0.001 dB")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if self.master_seed < 0:
@@ -106,9 +118,8 @@ class ExperimentConfig:
         noise_var = self.tx_power * 10.0 ** (-snr_db / 10.0)
         return SweepConfig(n_tx_entries=self.n_tx_entries, n_rx_entries=self.n_rx_entries,
                            n_rf_ue=self.n_rf_ue, n_pilots=self.n_pilots, n_fft=self.n_fft,
-                           sample_rate=self.sample_rate,
-                           subcarrier_spacing=self.subcarrier_spacing,
-                           tx_power=self.tx_power, noise_var=noise_var)
+                           sample_rate=self.sample_rate, tx_power=self.tx_power,
+                           noise_var=noise_var)
 
 
 def _seed(master: int, *parts: int) -> np.random.SeedSequence:
@@ -188,7 +199,6 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
                                        all_beam_match(out.estimated, truth),
                                        single_beam_match(out.estimated, truth),
                                        tuple(tx_err), tuple(rx_err)))
-    records.sort(key=lambda r: (r.trial, r.snr_db, _METHOD_ID[r.method]))
     return records
 
 

@@ -36,24 +36,18 @@ class SweepConfig:
     n_pilots: int = 10
     n_fft: int = 4096
     sample_rate: float = 491.52e6
-    subcarrier_spacing: float = 120e3
     tx_power: float = 1.0
     noise_var: float = 1.0
-    pilot_indices: tuple = ()
 
     def __post_init__(self):
         if min(self.n_tx_entries, self.n_rx_entries, self.n_rf_ue, self.n_pilots) < 1:
             raise ValueError("sweep dimensions must be positive")
         if self.tx_power <= 0 or self.noise_var < 0:
             raise ValueError("tx_power must be positive and noise_var non-negative")
-        if self.pilot_indices and len(self.pilot_indices) != self.n_pilots:
-            raise ValueError("pilot_indices length must equal n_pilots")
 
     @property
     def pilots(self) -> np.ndarray:
-        """Pilot subcarrier indices; defaults to the centered block."""
-        if self.pilot_indices:
-            return np.asarray(self.pilot_indices, dtype=int)
+        """Pilot subcarrier indices: the centered block of n_pilots."""
         start = self.n_fft // 2 - self.n_pilots // 2
         return start + np.arange(self.n_pilots)
 
@@ -64,16 +58,10 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """One sweep's worth of combined pilot samples.
-
-    per_block_energy[i, j, r, k] = |sample|^2 for tx entry i, rx entry j,
-    chain r, pilot k. y holds the same samples stacked pilot-major.
-    """
+    """One sweep's worth of combined pilot samples, stacked pilot-major
+    as described in the module docstring."""
 
     y: np.ndarray
-    per_block_energy: np.ndarray
-    tx_matrix: np.ndarray  # effective transmit vectors, one column per entry
-    rx_matrix: np.ndarray  # all combiner columns side by side
     config: SweepConfig
 
 
@@ -118,9 +106,7 @@ def acquire(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,
     sig_b = sig.reshape(cfg.n_pilots, cfg.n_rx_entries, cfg.n_rf_ue,
                         cfg.n_tx_entries).transpose(0, 3, 1, 2)
     y_block = np.sqrt(cfg.tx_power) * sig_b + noise
-    y = y_block.reshape(-1)
-    energy = np.abs(y_block) ** 2
-    return MeasurementSet(y, energy.transpose(1, 2, 3, 0), x, w, cfg)
+    return MeasurementSet(y_block.reshape(-1), cfg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,9 +107,7 @@ def test_exhaustive_search_matches_brute_force_ranking():
 
 
 def test_exhaustive_search_tie_break_prefers_low_indices():
-    energy = np.ones((4, 1, 2, 3))
-    y = np.ones(4 * 1 * 2 * 3, dtype=complex)
-    meas = MeasurementSet(y, energy, np.eye(4), np.eye(2),
+    meas = MeasurementSet(np.ones(24, dtype=complex),
                           SweepConfig(n_tx_entries=4, n_rx_entries=1, n_rf_ue=2, n_pilots=3))
     out = exhaustive_search(meas, 3)
     assert out.estimated == (BeamPair(0, 0), BeamPair(0, 1), BeamPair(1, 0))

@@ -39,6 +39,16 @@ def test_validate_rejects_bad_configs():
         ExperimentConfig(n_trials=0).validate()
     with pytest.raises(ValueError, match="workers"):
         ExperimentConfig(workers=0).validate()
+    with pytest.raises(ValueError, match="duplicate method"):
+        ExperimentConfig(methods=("ES", "ES")).validate()
+    for snr_db in ((0.0, 0.0), (-20.0, -19.9996)):
+        with pytest.raises(ValueError, match="snr_db points"):
+            ExperimentConfig(snr_db=snr_db).validate()
+    for method in ("OMP-MultiBeam", "OMP-Designed"):
+        with pytest.raises(ValueError, match="multiple of n_tx_entries"):
+            ExperimentConfig(n_ant_bs=96, methods=(method,)).validate()
+    with pytest.raises(ValueError, match="must not exceed n_ant_ue"):
+        ExperimentConfig(n_rx_entries=3).validate()
 
 
 def test_exhaustive_search_rejected_beyond_codebook_size():

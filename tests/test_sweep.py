@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from beamcs.arrays import ArrayGeometry, build_grid, steering_vector
-from beamcs.channel import ChannelRealization, PathComponent, sample_channel, ChannelParams
+from beamcs.channel import (ChannelRealization, PathComponent, sample_channel, ChannelParams,
+                            freq_channel)
 from beamcs.codebooks import Codebook, dft_codebook, group_columns, random_codebook
 from beamcs.sweep import (MeasurementSet, SweepConfig, acquire, build_sensing_operator,
                           load_measurements, save_measurements, transmit_vectors)
@@ -48,12 +49,14 @@ def test_measurement_vector_length_and_energy_layout():
     cfg = default_cfg()
     meas = acquire(ch, tx, rx, cfg, np.random.default_rng(2))
     assert meas.y.shape == (4 * 128 * 10,)
-    assert meas.per_block_energy.shape == (64, 2, 4, 10)
     # stacking order: pilot-major, then block m = i*n_rx_entries + j, then chain
+    quiet = acquire(ch, tx, rx, default_cfg(noise_var=0.0), np.random.default_rng(2))
+    x = transmit_vectors(tx, cfg)
+    w = np.concatenate([rx.entry(j) for j in range(2)], axis=1)
     for (i, j, r, k) in [(0, 0, 0, 0), (5, 1, 2, 3), (63, 1, 3, 9), (17, 0, 1, 7)]:
         flat = k * 128 * 4 + (i * 2 + j) * 4 + r
-        assert abs(meas.per_block_energy[i, j, r, k] - abs(meas.y[flat]) ** 2) \
-            < 1e-12 * (1.0 + meas.per_block_energy[i, j, r, k])
+        want = w[:, j * 4 + r].conj() @ freq_channel(ch, int(cfg.pilots[k]), FS, 4096) @ x[:, i]
+        assert abs(quiet.y[flat] - want) < 1e-12 * (1.0 + abs(want))
 
 
 def test_noiseless_aligned_measurement_closed_form():
@@ -210,6 +213,3 @@ def test_config_validation():
         SweepConfig(n_tx_entries=0)
     with pytest.raises(ValueError):
         SweepConfig(noise_var=-1.0)
-    with pytest.raises(ValueError):
-        SweepConfig(n_pilots=3, pilot_indices=(1, 2))
-    assert list(SweepConfig(n_pilots=2, pilot_indices=(100, 200)).pilots) == [100, 200]
