@@ -8,6 +8,9 @@ quantization, and compares total coherence, the figure of merit that
 predicts sparse-recovery quality: lower is better.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from beamcs import (ArrayGeometry, build_grid, designed_codebook, dft_codebook,
@@ -52,6 +55,8 @@ print("\n64 antennas for reference:")
 print("  DFT:            %10.2f" % total_coherence(dft, grid64))
 
 # codebooks serialize to a text format that round-trips bit-exactly
-save_codebook(dz, "/tmp/designed_128.cbk")
-back = load_codebook("/tmp/designed_128.cbk")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "designed_128.cbk"
+    save_codebook(dz, path)
+    back = load_codebook(path)
 print("\nserialization round-trip exact:", bool(np.array_equal(back.entries, dz.entries)))

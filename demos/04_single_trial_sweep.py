@@ -12,7 +12,8 @@ import numpy as np
 
 from beamcs import (ArrayGeometry, ChannelParams, SweepConfig, acquire, beam_index_errors,
                     build_grid, build_sensing_operator, cs_detect, dft_codebook,
-                    exhaustive_search, group_columns, sample_channel, true_pairs)
+                    exhaustive_search, group_columns, sample_channel, sweep_signal,
+                    true_pairs)
 
 rng = np.random.default_rng(21)
 bs, ue = ArrayGeometry(64), ArrayGeometry(8)
@@ -30,7 +31,8 @@ ch = sample_channel(ChannelParams(), bs, ue, rng)
 truth = true_pairs(ch, 64, 8)
 print("true pairs:", sorted(truth))
 
-meas = acquire(ch, tx_cb, rx_cb, cfg, rng)
+# the noiseless sweep over the channel, then combined receiver noise
+meas = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, cfg, rng)
 print("measurement vector length:", meas.y.size)
 
 # exhaustive search ranks (tx entry, combiner column) energies

@@ -25,8 +25,9 @@ for (snr, method) in sorted(stats, key=lambda k: (k[0], k[1])):
     g = stats[(snr, method)]
     print("%8.1f  %-12s %8.3f %8.3f" % (snr, method, g.p_all, g.p_single))
 
-# the same aggregates and raw error histograms go to CSV for plotting
-summary, errors = emit_csv(records, stats, "/tmp/beamcs_demo")
+# the same aggregates and raw error histograms go to CSV for plotting,
+# under results/demo05 in the current directory
+summary, errors = emit_csv(records, stats, "results/demo05")
 print("\nwrote", summary)
 print("wrote", errors)
 

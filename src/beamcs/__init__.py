@@ -15,6 +15,6 @@ from .metrics import (GroupStats, TrialRecord, all_beam_match, detection_probabi
                       error_cdf, fraction_at_or_below, single_beam_match)
 from .sweep import (MeasurementSet, SensingOperator, SweepConfig, acquire,
                     build_sensing_operator, load_measurements, save_measurements,
-                    transmit_vectors)
+                    sweep_signal, transmit_vectors)
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ keeps its codebook across SNR points, and the designed-codebook build
 from (master, 4, n_ant_bs). Results are therefore byte-identical for any
 worker count: channels are shared across SNR points and methods (paired
 comparison), and aggregation sorts by (trial, snr, method) before any
-output is written.
+output is written. The noiseless sweep of each (trial, method) is built
+once and shared across SNR points; each SNR point only adds its noise.
 
 Every detector is told n_pairs = len(truth), the number of distinct true
 beam pairs of the trial, and reports that many pairs. p_all and p_single
@@ -33,7 +34,7 @@ from .codebooks import (designed_codebook, dft_codebook, group_columns,
                         multi_beam_dft_codebook, random_codebook)
 from .detect import beam_index_errors, cs_detect, exhaustive_search, true_pairs
 from .metrics import TrialRecord, all_beam_match, detection_probability, single_beam_match
-from .sweep import SweepConfig, acquire, build_sensing_operator
+from .sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
 
 METHOD_ES = "ES"
 METHOD_OMP_RANDOM = "OMP-Random"
@@ -103,8 +104,15 @@ class ExperimentConfig:
             raise ValueError("n_rx_entries * n_rf_ue must not exceed n_ant_ue")
         if METHOD_ES in self.methods and self.n_tx_entries < self.n_tx_beams:
             raise ValueError("exhaustive search requires M_BS ≥ n_tx_beams")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
+        for name in ("n_trials", "n_pilots", "phase_bits", "tx_grid_mult", "rx_grid_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be positive" % name)
+        if self.designed_sweeps < 0:
+            raise ValueError("designed_sweeps must be non-negative")
+        n_bins = self.n_ant_bs * self.tx_grid_mult * self.n_ant_ue * self.rx_grid_mult
+        if not 1 <= self.effective_sparsity <= n_bins:
+            raise ValueError("sparsity must lie in [1, %d] (0 means n_clusters * n_rays)"
+                             % n_bins)
         if not self.snr_db:
             raise ValueError("snr_db must not be empty")
         if len({_snr_key(s) for s in self.snr_db}) != len(self.snr_db):
@@ -183,11 +191,12 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
             tx_cb = assets["tx_cb"][method]
             rx_cb = assets["rx_dft"]
             op = assets["op"].get(method)
+        signal = sweep_signal(ch, tx_cb, rx_cb, cfg.sweep_config(cfg.snr_db[0]))
         for snr in cfg.snr_db:
             scfg = cfg.sweep_config(snr)
             noise_rng = np.random.default_rng(
                 _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), mid))
-            meas = acquire(ch, tx_cb, rx_cb, scfg, noise_rng)
+            meas = acquire(signal, rx_cb, scfg, noise_rng)
             if method == METHOD_ES:
                 out = exhaustive_search(meas, n_pairs)
             else:

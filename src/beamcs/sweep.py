@@ -7,8 +7,10 @@ pilot-major:
 
     y[k * n_blocks * n_rf_ue + m * n_rf_ue + r]   pilot k, block m, chain r
 
-Noise is drawn per receive antenna and passed through the combiner, so
-its covariance is noise_var * W^H W by construction, never assumed white.
+A sweep is a noiseless signal (`sweep_signal`: free of noise_var, so one
+serves every SNR point of a channel) plus combined noise (`acquire`). Noise
+is drawn per receive antenna and passed through the combiner, so its
+covariance is noise_var * W^H W by construction, never assumed white.
 
 The sensing operator maps a vectorized grid-domain channel h (tx bin
 major: g = g_tx * n_rx_bins + g_rx) to stacked noiseless measurements.
@@ -78,35 +80,41 @@ def transmit_vectors(tx_cb: Codebook, cfg: SweepConfig) -> np.ndarray:
     return x / np.linalg.norm(x, axis=0, keepdims=True)
 
 
-def acquire(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,
-            cfg: SweepConfig, rng: np.random.Generator) -> MeasurementSet:
-    """Simulate one full sweep over the given channel realization."""
-    if tx_cb.n_ant != ch.tx_geometry.n_ant or rx_cb.n_ant != ch.rx_geometry.n_ant:
-        raise ValueError("codebook antenna counts do not match the channel")
+def _combiner(rx_cb: Codebook, cfg: SweepConfig) -> np.ndarray:
+    """W: the rx entries side by side, one column per (rx entry, chain)."""
     if rx_cb.n_entries != cfg.n_rx_entries or rx_cb.n_cols != cfg.n_rf_ue:
         raise ValueError("rx codebook shape does not match the sweep")
+    return np.concatenate([rx_cb.entry(j) for j in range(cfg.n_rx_entries)], axis=1)
+
+
+def sweep_signal(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,
+                 cfg: SweepConfig) -> np.ndarray:
+    """Noiseless sweep over one channel: (pilot, tx entry, rx entry, chain)."""
+    if tx_cb.n_ant != ch.tx_geometry.n_ant or rx_cb.n_ant != ch.rx_geometry.n_ant:
+        raise ValueError("codebook antenna counts do not match the channel")
+    w_h = _combiner(rx_cb, cfg).conj().T
     x = transmit_vectors(tx_cb, cfg)
-    w = np.concatenate([rx_cb.entry(j) for j in range(cfg.n_rx_entries)], axis=1)
-    w_h = w.conj().T
-
-    n_ue = ch.rx_geometry.n_ant
-    pilots = cfg.pilots
     sig = np.empty((cfg.n_pilots, w_h.shape[0], cfg.n_tx_entries), dtype=complex)
-    for ki, k in enumerate(pilots):
-        h = freq_channel(ch, int(k), cfg.sample_rate, cfg.n_fft)
-        sig[ki] = w_h @ h @ x
-
-    # one antenna-domain noise vector per (pilot, tx entry, rx entry)
-    draws = rng.standard_normal(
-        size=(cfg.n_pilots, cfg.n_tx_entries, cfg.n_rx_entries, n_ue, 2))
-    z = (draws[..., 0] + 1j * draws[..., 1]) * np.sqrt(cfg.noise_var / 2.0)
-    w_h_split = w_h.reshape(cfg.n_rx_entries, cfg.n_rf_ue, n_ue)
-    noise = np.einsum("jre,kije->kijr", w_h_split, z)
-
+    for ki, k in enumerate(cfg.pilots):
+        sig[ki] = w_h @ freq_channel(ch, int(k), cfg.sample_rate, cfg.n_fft) @ x
     sig_b = sig.reshape(cfg.n_pilots, cfg.n_rx_entries, cfg.n_rf_ue,
                         cfg.n_tx_entries).transpose(0, 3, 1, 2)
-    y_block = np.sqrt(cfg.tx_power) * sig_b + noise
-    return MeasurementSet(y_block.reshape(-1), cfg)
+    return np.sqrt(cfg.tx_power) * sig_b
+
+
+def acquire(signal: np.ndarray, rx_cb: Codebook, cfg: SweepConfig,
+            rng: np.random.Generator) -> MeasurementSet:
+    """Add combined noise to a noiseless sweep from `sweep_signal`."""
+    if signal.shape != (cfg.n_pilots, cfg.n_tx_entries, cfg.n_rx_entries, cfg.n_rf_ue):
+        raise ValueError("signal shape does not match the sweep")
+    w_h = _combiner(rx_cb, cfg).conj().T
+    # one antenna-domain noise vector per (pilot, tx entry, rx entry)
+    draws = rng.standard_normal(
+        size=(cfg.n_pilots, cfg.n_tx_entries, cfg.n_rx_entries, rx_cb.n_ant, 2))
+    z = (draws[..., 0] + 1j * draws[..., 1]) * np.sqrt(cfg.noise_var / 2.0)
+    w_h_split = w_h.reshape(cfg.n_rx_entries, cfg.n_rf_ue, rx_cb.n_ant)
+    noise = np.einsum("jre,kije->kijr", w_h_split, z)
+    return MeasurementSet((signal + noise).reshape(-1), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +175,8 @@ def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: GridDictio
                            rx_grid: GridDictionary, cfg: SweepConfig) -> SensingOperator:
     if tx_grid.geometry.n_ant != tx_cb.n_ant or rx_grid.geometry.n_ant != rx_cb.n_ant:
         raise ValueError("grid and codebook antenna counts differ")
-    if rx_cb.n_entries != cfg.n_rx_entries or rx_cb.n_cols != cfg.n_rf_ue:
-        raise ValueError("rx codebook shape does not match the sweep")
+    w = _combiner(rx_cb, cfg)
     x = transmit_vectors(tx_cb, cfg)
-    w = np.concatenate([rx_cb.entry(j) for j in range(cfg.n_rx_entries)], axis=1)
     tx_factor = x.T @ tx_grid.atoms.conj()
     rx_factor = w.conj().T @ rx_grid.atoms
     return SensingOperator(tx_factor, rx_factor, cfg.n_pilots)

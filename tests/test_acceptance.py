@@ -20,7 +20,7 @@ from beamcs.detect import (BeamPair, beam_sin_values, cs_detect, exhaustive_sear
                            true_pairs)
 from beamcs.experiment import (ExperimentConfig, _TAG_CHANNEL, _TAG_DESIGN, _seed,
                                emit_csv, run_experiment)
-from beamcs.sweep import SweepConfig, acquire, build_sensing_operator
+from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
 
 HIGH_SNRS = tuple(float(v) for v in range(-10, 35, 5))
 
@@ -277,7 +277,7 @@ def test_criterion_6d_combined_noise_covariance():
     rng = np.random.default_rng(64)
     draws = np.empty((10_000, 8), dtype=complex)
     for i in range(draws.shape[0]):
-        draws[i] = acquire(silent, tx_cb, rx_cb, cfg, rng).y
+        draws[i] = acquire(sweep_signal(silent, tx_cb, rx_cb, cfg), rx_cb, cfg, rng).y
     got = draws.conj().T @ draws / draws.shape[0]
     rel = np.linalg.norm(got - want.T) / np.linalg.norm(want)
     print("criterion 6d: covariance relative Frobenius error %.3f over 10^4 draws "
@@ -304,7 +304,7 @@ def test_criterion_7_noiseless_on_grid_end_to_end():
                                 ArrayGeometry(8))
         truth = true_pairs(ch, 64, 8)
         assert truth == {BeamPair(bt, br)}
-        meas = acquire(ch, tx_cb, rx_cb, cfg, np.random.default_rng(t))
+        meas = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, cfg, np.random.default_rng(t))
         hits_cs += set(cs_detect(op, meas, 1, 64, 8, 1).estimated) == truth
         hits_es += set(exhaustive_search(meas, 1).estimated) == truth
     print("criterion 7: noiseless on-grid p_all OMP-DFT %d/100, ES %d/100 (need 100)"

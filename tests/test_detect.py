@@ -11,7 +11,8 @@ from beamcs.codebooks import dft_codebook, group_columns, random_codebook
 from beamcs.detect import (BeamPair, beam_index_errors, beam_sin_values, cs_detect,
                            exhaustive_search, omp, signed_circular_diff, true_pairs)
 from beamcs.metrics import single_beam_match
-from beamcs.sweep import MeasurementSet, SweepConfig, acquire, build_sensing_operator
+from beamcs.sweep import (MeasurementSet, SweepConfig, acquire, build_sensing_operator,
+                          sweep_signal)
 
 
 def make_channel(paths, n_bs=64, n_ue=8):
@@ -80,7 +81,8 @@ def dft_pair_codebooks(n_tx=64, n_ue=8):
 def test_exhaustive_search_finds_aligned_path():
     ch = make_channel([on_beam_path(23, 5)])
     tx, rx = dft_pair_codebooks()
-    meas = acquire(ch, tx, rx, default_sweep(0.0), np.random.default_rng(0))
+    meas = acquire(sweep_signal(ch, tx, rx, default_sweep(0.0)), rx, default_sweep(0.0),
+                   np.random.default_rng(0))
     out = exhaustive_search(meas, 1)
     assert out.estimated == (BeamPair(23, 5),)
 
@@ -89,7 +91,8 @@ def test_exhaustive_search_matches_brute_force_ranking():
     ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                         np.random.default_rng(21))
     tx, rx = dft_pair_codebooks()
-    meas = acquire(ch, tx, rx, default_sweep(0.5), np.random.default_rng(22))
+    meas = acquire(sweep_signal(ch, tx, rx, default_sweep(0.5)), rx, default_sweep(0.5),
+                   np.random.default_rng(22))
     n_pairs = 5
     out = exhaustive_search(meas, n_pairs)
     # independent route: accumulate energies straight from the stacked vector
@@ -193,7 +196,7 @@ def test_cs_detect_on_grid_single_path():
     for mult in (1, 3):
         tx, rx, cfg, op = cs_setup(mult)
         ch = make_channel([on_beam_path(37, 2)])
-        meas = acquire(ch, tx, rx, cfg, np.random.default_rng(0))
+        meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
         out = cs_detect(op, meas, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
         assert out.estimated == (BeamPair(37, 2),)
         assert not out.ridge_flagged
@@ -202,7 +205,7 @@ def test_cs_detect_on_grid_single_path():
 def test_cs_detect_support_bin_arithmetic():
     tx, rx, cfg, op = cs_setup(3)
     ch = make_channel([on_beam_path(10, 6)])
-    meas = acquire(ch, tx, rx, cfg, np.random.default_rng(0))
+    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
     out = cs_detect(op, meas, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
     g = out.support[0]
     # bin splits as (tx_bin, rx_bin) with the rx grid minor
@@ -212,7 +215,7 @@ def test_cs_detect_support_bin_arithmetic():
 def test_cs_detect_pads_when_dedup_runs_short():
     tx, rx, cfg, op = cs_setup(1)
     ch = make_channel([on_beam_path(20, 4)])
-    meas = acquire(ch, tx, rx, cfg, np.random.default_rng(0))
+    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
     out = cs_detect(op, meas, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
     assert len(out.estimated) == 2
     assert out.estimated[0] == BeamPair(20, 4)
@@ -222,7 +225,7 @@ def test_cs_detect_pads_when_dedup_runs_short():
 def test_cs_detect_two_separated_paths():
     tx, rx, cfg, op = cs_setup(3)
     ch = make_channel([on_beam_path(8, 1, gain=2.0), on_beam_path(50, 6, gain=1.0)])
-    meas = acquire(ch, tx, rx, cfg, np.random.default_rng(0))
+    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
     out = cs_detect(op, meas, sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
     assert set(out.estimated) == {BeamPair(8, 1), BeamPair(50, 6)}
     # stronger path carries the larger coefficient, so it ranks first
@@ -239,7 +242,8 @@ def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
         ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                             np.random.default_rng(10_000 + t))
         truth = true_pairs(ch, 64, 8)
-        meas = acquire(ch, tx, rx, cfg_noisy, np.random.default_rng(20_000 + t))
+        meas = acquire(sweep_signal(ch, tx, rx, cfg_noisy), rx, cfg_noisy,
+                       np.random.default_rng(20_000 + t))
         out = cs_detect(op, meas, sparsity=6, n_tx_beams=64, n_rx_beams=8,
                         n_pairs=len(truth))
         hits += single_beam_match(out.estimated, truth)

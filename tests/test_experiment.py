@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -49,6 +50,30 @@ def test_validate_rejects_bad_configs():
             ExperimentConfig(n_ant_bs=96, methods=(method,)).validate()
     with pytest.raises(ValueError, match="must not exceed n_ant_ue"):
         ExperimentConfig(n_rx_entries=3).validate()
+    for name in ("phase_bits", "n_pilots", "tx_grid_mult", "rx_grid_mult"):
+        with pytest.raises(ValueError, match=name + " must be positive"):
+            ExperimentConfig(**{name: 0}).validate()
+    with pytest.raises(ValueError, match="designed_sweeps"):
+        ExperimentConfig(designed_sweeps=-1, methods=("OMP-Designed",)).validate()
+    # the default grid has 64*3 x 8*3 = 4608 bins
+    for sparsity in (-1, 4609):
+        with pytest.raises(ValueError, match=r"sparsity must lie in \[1, 4608\]"):
+            ExperimentConfig(sparsity=sparsity).validate()
+    ExperimentConfig(sparsity=4608).validate()
+
+
+# The default config at 3 trials with every method, and the SHA-256 of its
+# summary.csv and errors.csv at seed 12345. The bytes of a run are the
+# behaviour contract: a change that moves them must explain the record diff.
+GOLDEN = dict(n_trials=3, methods=METHODS, designed_sweeps=2)
+GOLDEN_SHA256 = ("9fc6b356eb7427564cbb2eab7fac9619706e107647b89957e369b10cab1e1894",
+                 "468abc0a51493e9e32b689fc5cab264917decb5336fddabbad7e6afe6f3727bd")
+
+
+def test_golden_bytes(tmp_path):
+    records, stats = run_experiment(ExperimentConfig(**GOLDEN))
+    paths = emit_csv(records, stats, tmp_path)
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == GOLDEN_SHA256
 
 
 def test_exhaustive_search_rejected_beyond_codebook_size():

@@ -7,7 +7,8 @@ from beamcs.channel import (ChannelRealization, PathComponent, sample_channel, C
                             freq_channel)
 from beamcs.codebooks import Codebook, dft_codebook, group_columns, random_codebook
 from beamcs.sweep import (MeasurementSet, SweepConfig, acquire, build_sensing_operator,
-                          load_measurements, save_measurements, transmit_vectors)
+                          load_measurements, save_measurements, sweep_signal,
+                          transmit_vectors)
 
 FS = 491.52e6
 
@@ -47,16 +48,52 @@ def test_measurement_vector_length_and_energy_layout():
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     cfg = default_cfg()
-    meas = acquire(ch, tx, rx, cfg, np.random.default_rng(2))
+    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(2))
     assert meas.y.shape == (4 * 128 * 10,)
     # stacking order: pilot-major, then block m = i*n_rx_entries + j, then chain
-    quiet = acquire(ch, tx, rx, default_cfg(noise_var=0.0), np.random.default_rng(2))
+    quiet = acquire(sweep_signal(ch, tx, rx, default_cfg(noise_var=0.0)), rx,
+                    default_cfg(noise_var=0.0), np.random.default_rng(2))
     x = transmit_vectors(tx, cfg)
     w = np.concatenate([rx.entry(j) for j in range(2)], axis=1)
     for (i, j, r, k) in [(0, 0, 0, 0), (5, 1, 2, 3), (63, 1, 3, 9), (17, 0, 1, 7)]:
         flat = k * 128 * 4 + (i * 2 + j) * 4 + r
         want = w[:, j * 4 + r].conj() @ freq_channel(ch, int(cfg.pilots[k]), FS, 4096) @ x[:, i]
         assert abs(quiet.y[flat] - want) < 1e-12 * (1.0 + abs(want))
+
+
+def default_sweep_inputs():
+    ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
+                        np.random.default_rng(1))
+    return ch, dft_codebook(64, 64, 6), group_columns(dft_codebook(8, 8, 6), 4)
+
+
+def test_sweep_signal_does_not_depend_on_noise_var():
+    ch, tx, rx = default_sweep_inputs()
+    loud = sweep_signal(ch, tx, rx, default_cfg(noise_var=3.0))
+    quiet = sweep_signal(ch, tx, rx, default_cfg(noise_var=1e-4))
+    assert loud.shape == (10, 64, 2, 4)  # pilot, tx entry, rx entry, chain
+    assert loud.tobytes() == quiet.tobytes()
+
+
+def test_acquire_without_noise_returns_the_signal():
+    ch, tx, rx = default_sweep_inputs()
+    cfg = default_cfg(noise_var=0.0)
+    signal = sweep_signal(ch, tx, rx, cfg)
+    meas = acquire(signal, rx, cfg, np.random.default_rng(3))
+    assert np.array_equal(meas.y, signal.reshape(-1))
+
+
+def test_acquire_rejects_mismatched_signal_and_combiner():
+    ch, tx, rx = default_sweep_inputs()
+    cfg = default_cfg()
+    signal = sweep_signal(ch, tx, rx, cfg)
+    with pytest.raises(ValueError, match="signal shape"):
+        acquire(signal[:, :32], rx, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="signal shape"):
+        acquire(signal, rx, default_cfg(n_pilots=5), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="rx codebook shape"):
+        acquire(signal, group_columns(dft_codebook(8, 8, 6), 2), cfg,
+                np.random.default_rng(0))
 
 
 def test_noiseless_aligned_measurement_closed_form():
@@ -67,7 +104,7 @@ def test_noiseless_aligned_measurement_closed_form():
     rx = raw_codebook(steering_vector(ue, path.aoa)[None, :, None])
     cfg = SweepConfig(n_tx_entries=1, n_rx_entries=1, n_rf_ue=1, n_pilots=4,
                       tx_power=2.0, noise_var=0.0)
-    meas = acquire(ch, tx, rx, cfg, np.random.default_rng(0))
+    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
     # perfectly matched beams collapse to sqrt(power) * scale * gain per pilot
     want_mag = np.sqrt(2.0) * ch.gain_scale * abs(path.gain)
     assert_allclose(np.abs(meas.y), np.full(4, want_mag), rtol=1e-12)
@@ -90,7 +127,7 @@ def test_combined_noise_covariance_is_shaped_by_combiner():
                       noise_var=noise_var)
     draws = []
     for rep in range(10):
-        meas = acquire(ch, tx, rx, cfg, np.random.default_rng(100 + rep))
+        meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(100 + rep))
         y = meas.y.reshape(2, 200, 4)            # pilot, block, chain
         draws.append(y.transpose(1, 0, 2).reshape(200, 8))
     samples = np.concatenate(draws, axis=0)      # (2000, pilots*chains)
@@ -180,7 +217,7 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     rx = random_codebook(8, 2, 3, 6, rng)
     cfg = SweepConfig(n_tx_entries=12, n_rx_entries=2, n_rf_ue=3, n_pilots=4,
                       tx_power=1.7, noise_var=0.0)
-    meas = acquire(ch, tx, rx, cfg, np.random.default_rng(0))
+    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
     h = np.zeros(op.shape[1], dtype=complex)
     for g, (bt, br) in zip(gains, bins):
@@ -198,7 +235,7 @@ def test_measurement_dump_round_trip(tmp_path):
     rx = random_codebook(4, 2, 2, 6, rng)
     cfg = SweepConfig(n_tx_entries=4, n_rx_entries=2, n_rf_ue=2, n_pilots=3,
                       noise_var=0.2)
-    meas = acquire(ch, tx, rx, cfg, np.random.default_rng(14))
+    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(14))
     path = tmp_path / "sweep.bin"
     save_measurements(meas, path)
     y, sidecar = load_measurements(path)
