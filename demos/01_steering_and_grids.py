@@ -16,7 +16,7 @@ from beamcs import ArrayGeometry, build_grid, steering_vector
 
 # an 8-element array at the standard half-wavelength spacing
 geom = ArrayGeometry(8)
-print("antennas:", geom.n_ant, " spacing (wavelengths):", geom.spacing)
+print("antennas:", geom.n_ant, " spacing (wavelengths): 0.5")
 
 # broadside (0 rad) gives the flat vector, endfire alternates sign
 for deg in (0.0, 30.0, 90.0):

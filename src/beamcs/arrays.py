@@ -7,16 +7,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Half-wavelength ULA. `spacing` is the element pitch in wavelengths."""
+    """Half-wavelength ULA: the element pitch is half a wavelength."""
 
     n_ant: int
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.n_ant < 1:
             raise ValueError("n_ant must be positive")
-        if self.spacing != 0.5:
-            raise ValueError("only half-wavelength spacing is supported")
 
 
 def steering_vector(geometry: ArrayGeometry, angle: float) -> np.ndarray:
@@ -25,6 +22,13 @@ def steering_vector(geometry: ArrayGeometry, angle: float) -> np.ndarray:
         raise ValueError("angle must not be NaN")
     n = np.arange(geometry.n_ant)
     return np.exp(1j * np.pi * n * np.sin(angle)) / np.sqrt(geometry.n_ant)
+
+
+def beam_sin_values(n_beams: int) -> np.ndarray:
+    """Sin-domain positions of the n_beams DFT-ordered beams: beam b sits
+    at 2b/n for b < n/2 and at 2b/n - 2 above."""
+    b = np.arange(n_beams)
+    return np.where(b < n_beams / 2, 2.0 * b / n_beams, 2.0 * b / n_beams - 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,14 +45,13 @@ class GridDictionary:
 def build_grid(geometry: ArrayGeometry, multiplier: int) -> GridDictionary:
     """Dictionary with n_ant * multiplier bins.
 
-    Bin i sits at sin value 2i/G for i < G/2 and 2i/G - 2 above, so
-    multiplier 1 reproduces the DFT codebook order exactly.
+    Bin i sits at beam_sin_values(G)[i], so multiplier 1 reproduces the
+    DFT codebook order exactly.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be positive")
     g = geometry.n_ant * multiplier
-    i = np.arange(g)
-    sin_grid = np.where(i < g / 2, 2.0 * i / g, 2.0 * i / g - 2.0)
+    sin_grid = beam_sin_values(g)
     n = np.arange(geometry.n_ant)[:, None]
     atoms = np.exp(1j * np.pi * n * sin_grid[None, :]) / np.sqrt(geometry.n_ant)
     return GridDictionary(geometry, multiplier, g, sin_grid, atoms)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .arrays import ArrayGeometry, steering_vector
 
-HALF_PI = math.pi / 2
+ANGLE_RANGE = (-math.pi / 2, math.pi / 2)  # field of view of path angles
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,14 @@ class ChannelParams:
     gain_var: float = 1.0
     delay_max: float = 200e-9
     ray_angle_std: float = math.radians(2.0)
-    angle_range: tuple = (-HALF_PI, HALF_PI)
 
     def __post_init__(self):
-        if self.n_clusters < 1 or self.n_rays < 1:
-            raise ValueError("need at least one cluster and one ray")
-        if self.gain_var <= 0 or self.delay_max < 0 or self.ray_angle_std < 0:
-            raise ValueError("gain_var must be positive, delays and spreads non-negative")
+        for name in ("n_clusters", "n_rays", "gain_var"):
+            if getattr(self, name) <= 0:
+                raise ValueError("%s must be positive" % name)
+        for name in ("delay_max", "ray_angle_std"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be non-negative" % name)
 
 
 @dataclass(frozen=True)
@@ -56,26 +57,18 @@ class ChannelRealization:
     def delays(self) -> np.ndarray:
         return np.array([p.delay for p in self.paths])
 
-    @property
-    def aods(self) -> np.ndarray:
-        return np.array([p.aod for p in self.paths])
-
-    @property
-    def aoas(self) -> np.ndarray:
-        return np.array([p.aoa for p in self.paths])
-
 
 def sample_channel(params: ChannelParams, tx_geometry: ArrayGeometry,
                    rx_geometry: ArrayGeometry, rng: np.random.Generator) -> ChannelRealization:
     """Draw one realization.
 
-    Per cluster: mean AoD/AoA uniform over angle_range, one shared delay
+    Per cluster: mean AoD/AoA uniform over ANGLE_RANGE, one shared delay
     uniform on [0, delay_max]. Per ray: Laplace angle offsets with the
     requested standard deviation (scale = std/sqrt(2)) and a complex
     normal gain of variance gain_var. Angles clip to the array's field of
     view rather than wrapping.
     """
-    lo, hi = params.angle_range
+    lo, hi = ANGLE_RANGE
     scale = params.ray_angle_std / math.sqrt(2.0)
     sigma = math.sqrt(params.gain_var / 2.0)
     paths = []

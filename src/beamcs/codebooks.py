@@ -7,6 +7,9 @@ entries are materialized from a per-(phase_bits, n_ant) table. That keeps
 two invariants exact rather than float-approximate: every phase lies on
 the quantizer grid, and every entry has the same modulus bit-for-bit.
 
+``Codebook.columns`` puts the entries side by side, entry-major (W in
+W^H A_rx, X in X^T conj(A_tx)); ``group_columns`` cuts that same layout.
+
 Kinds:
 
 ``DFT``
@@ -111,6 +114,19 @@ class Codebook:
     def entry(self, m: int) -> np.ndarray:
         return self.entries[m]
 
+    @property
+    def columns(self) -> np.ndarray:
+        """(n_ant, n_entries * n_cols): the entries side by side, entry-major,
+        i.e. the whole codebook regrouped into one entry."""
+        return _regroup(self.entries, self.n_entries * self.n_cols)[0]
+
+
+def _regroup(a: np.ndarray, n_cols: int) -> np.ndarray:
+    # (n_entries, n_ant, c) -> (n_entries * c // n_cols, n_ant, n_cols), C-ordered:
+    # the columns side by side, entry-major, cut into entries of n_cols columns
+    return np.ascontiguousarray(
+        a.transpose(1, 0, 2).reshape(a.shape[1], -1, n_cols).transpose(1, 0, 2))
+
 
 def _from_indices(kind: str, n_ant: int, phase_bits: int, idx: np.ndarray) -> Codebook:
     idx = np.asarray(idx, dtype=np.int64)
@@ -131,8 +147,8 @@ def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:
     return _phasor_table(phase_bits, matrix.shape[0])[idx]
 
 
-def _ratio_round_half_down(num: int, den: int) -> int:
-    # round(num/den) over exact integers, halves toward minus infinity
+def _ratio_round_half_down(num, den: int):
+    # round(num/den) over exact integers or int arrays, halves toward -inf
     return -((den - 2 * num) // (2 * den))
 
 
@@ -153,11 +169,8 @@ def dft_codebook(n_ant: int, n_beams: int, phase_bits: int | None = 6) -> Codebo
         entries = amp * np.exp(2j * np.pi * np.outer(m, n) / n_ant)[:, :, None]
         return Codebook(KIND_DFT, n_ant, None, None, entries)
     levels = 1 << phase_bits
-    idx = np.empty((n_beams, n_ant, 1), dtype=np.int64)
-    for bi in range(n_beams):
-        for ni in range(n_ant):
-            idx[bi, ni, 0] = _ratio_round_half_down((ni * bi % n_ant) * levels, n_ant) % levels
-    return _from_indices(KIND_DFT, n_ant, phase_bits, idx)
+    idx = _ratio_round_half_down(np.outer(m, n) % n_ant * levels, n_ant) % levels
+    return _from_indices(KIND_DFT, n_ant, phase_bits, idx[:, :, None])
 
 
 def group_columns(cb: Codebook, n_cols: int) -> Codebook:
@@ -170,13 +183,8 @@ def group_columns(cb: Codebook, n_cols: int) -> Codebook:
     total = cb.n_entries * cb.n_cols
     if total % n_cols:
         raise ValueError("total column count %d not divisible by %d" % (total, n_cols))
-    flat = np.concatenate([cb.entries[m] for m in range(cb.n_entries)], axis=1)
-    entries = np.stack([flat[:, j * n_cols:(j + 1) * n_cols] for j in range(total // n_cols)])
-    idx = None
-    if cb.phase_indices is not None:
-        flat_idx = np.concatenate([cb.phase_indices[m] for m in range(cb.n_entries)], axis=1)
-        idx = np.stack([flat_idx[:, j * n_cols:(j + 1) * n_cols] for j in range(total // n_cols)])
-    return Codebook(cb.kind, cb.n_ant, cb.phase_bits, idx, entries)
+    idx = None if cb.phase_indices is None else _regroup(cb.phase_indices, n_cols)
+    return Codebook(cb.kind, cb.n_ant, cb.phase_bits, idx, _regroup(cb.entries, n_cols))
 
 
 def random_codebook(n_ant: int, n_entries: int, n_cols: int, phase_bits: int,
@@ -186,32 +194,27 @@ def random_codebook(n_ant: int, n_entries: int, n_cols: int, phase_bits: int,
     return _from_indices(KIND_RANDOM, n_ant, phase_bits, idx)
 
 
-def _combined_entry_indices(n_ant: int, n_entries: int, phase_bits: int,
-                            rotations: np.ndarray, m: int) -> np.ndarray:
-    """Quantizer indices of entry m of a phase-only combined DFT codebook.
+def _combined_indices(n_ant: int, n_entries: int, phase_bits: int,
+                      rotations: np.ndarray, m=slice(None)) -> np.ndarray:
+    """Quantizer indices of entries m of a phase-only combined DFT codebook,
+    shape (len(m), n_ant, 1); all entries by default.
 
-    rotations[m, j] is the quantizer index of the phase applied to
-    constituent beam j of entry m before summing. Sums are built from
-    exactly reduced integer phases; magnitudes below the cancellation
-    tolerance quantize to index 0 instead of inheriting rounding noise.
+    Entry m sums DFT beams m, m+n_entries, ...; rotations[m, j] is the
+    quantizer index of the phase applied to its constituent beam j before
+    summing. Sums are built from exactly reduced integer phases; magnitudes
+    below the cancellation tolerance quantize to index 0 instead of
+    inheriting rounding noise.
     """
     beams_per = n_ant // n_entries
     levels = 1 << phase_bits
     n = np.arange(n_ant)[:, None]
-    beams = m + n_entries * np.arange(beams_per)
+    beams = np.arange(n_entries)[m][:, None, None] + n_entries * np.arange(beams_per)
     ang = 2.0 * np.pi * ((n * beams) % n_ant) / n_ant \
-        + 2.0 * np.pi * rotations[m] / levels
-    s = np.exp(1j * ang).sum(axis=1)
-    col = _quantize_indices(np.angle(s), phase_bits)
-    col[np.abs(s) < _ZERO_SUM_TOL * beams_per] = 0
-    return col
-
-
-def _combined_indices(n_ant: int, n_entries: int, phase_bits: int,
-                      rotations: np.ndarray) -> np.ndarray:
-    """Quantizer indices of every entry, shape (n_entries, n_ant, 1)."""
-    return np.stack([_combined_entry_indices(n_ant, n_entries, phase_bits, rotations, m)
-                     for m in range(n_entries)])[:, :, None]
+        + 2.0 * np.pi * rotations[m][:, None, :] / levels
+    s = np.exp(1j * ang).sum(axis=2)
+    idx = _quantize_indices(np.angle(s), phase_bits)
+    idx[np.abs(s) < _ZERO_SUM_TOL * beams_per] = 0
+    return idx[:, :, None]
 
 
 def multi_beam_dft_codebook(n_ant: int, n_entries: int = 64,
@@ -226,12 +229,6 @@ def multi_beam_dft_codebook(n_ant: int, n_entries: int = 64,
     rotations = np.zeros((n_entries, n_ant // n_entries), dtype=np.int64)
     idx = _combined_indices(n_ant, n_entries, phase_bits, rotations)
     return _from_indices(KIND_MULTI_BEAM, n_ant, phase_bits, idx)
-
-
-def _effective_tx(entries: np.ndarray, grid: GridDictionary) -> np.ndarray:
-    """Transmit-side effective dictionary: rows are slots, columns grid bins."""
-    x = np.concatenate([entries[m] for m in range(entries.shape[0])], axis=1)
-    return x.T @ grid.atoms.conj()
 
 
 def _coherence_of_effective(eff: np.ndarray) -> float:
@@ -250,7 +247,7 @@ def total_coherence(cb: Codebook, grid: GridDictionary) -> float:
     effective dictionary the codebook induces on the grid."""
     if grid.geometry.n_ant != cb.n_ant:
         raise ValueError("codebook and grid antenna counts differ")
-    return _coherence_of_effective(_effective_tx(cb.entries, grid))
+    return _coherence_of_effective(cb.columns.T @ grid.atoms.conj())
 
 
 def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
@@ -273,13 +270,15 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
     levels = 1 << phase_bits
     rotations = np.zeros((n_entries, beams_per), dtype=np.int64)
     idx = _combined_indices(n_ant, n_entries, phase_bits, rotations)
+    start = _from_indices(KIND_DESIGNED, n_ant, phase_bits, idx)
     if beams_per == 1:
-        return _from_indices(KIND_DESIGNED, n_ant, phase_bits, idx)
+        return start
 
     table = _phasor_table(phase_bits, n_ant)
-    eff = _effective_tx(table[idx], grid)
-    best = _coherence_of_effective(eff)
     atoms_conj = grid.atoms.conj()
+    # transmit-side effective dictionary: rows are slots, columns grid bins
+    eff = start.columns.T @ atoms_conj
+    best = _coherence_of_effective(eff)
     for _ in range(sweeps):
         for m in range(n_entries):
             for j in range(beams_per):
@@ -288,15 +287,14 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
                     continue
                 old = rotations[m, j]
                 rotations[m, j] = cand
-                col_idx = _combined_entry_indices(n_ant, n_entries, phase_bits,
-                                                  rotations, m)
-                new_row = table[col_idx] @ atoms_conj
+                cand_idx = _combined_indices(n_ant, n_entries, phase_bits, rotations, [m])
+                new_row = table[cand_idx[0, :, 0]] @ atoms_conj
                 old_row = eff[m].copy()
                 eff[m] = new_row
                 score = _coherence_of_effective(eff)
                 if score < best:
                     best = score
-                    idx[m, :, 0] = col_idx
+                    idx[m] = cand_idx[0]
                 else:
                     rotations[m, j] = old
                     eff[m] = old_row

@@ -6,8 +6,8 @@ operator followed by bin-to-beam rounding. Sparse recovery is orthogonal
 matching pursuit with a fixed iteration count (the nominal path count);
 each iteration re-fits all selected coefficients by least squares.
 
-Beam indexing everywhere is DFT order: beam b covers sin value 2b/n for
-b < n/2 and 2b/n - 2 above. Index differences are therefore circular.
+Beam indexing everywhere is DFT order (`arrays.beam_sin_values`), so
+index differences are circular.
 """
 
 import math
@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .arrays import beam_sin_values
 from .channel import ChannelRealization
 from .sweep import MeasurementSet, SensingOperator
 
@@ -40,12 +41,6 @@ class OmpResult:
     residual: np.ndarray
     residual_norms: tuple
     ridge_flagged: bool
-
-
-def beam_sin_values(n_beams: int) -> np.ndarray:
-    """Sin-domain positions of the n_beams DFT-ordered beams."""
-    b = np.arange(n_beams)
-    return np.where(b < n_beams / 2, 2.0 * b / n_beams, 2.0 * b / n_beams - 2.0)
 
 
 def _circular_sin_distance(beam_sins: np.ndarray, sin_value: float) -> np.ndarray:
@@ -85,10 +80,9 @@ def exhaustive_search(meas: MeasurementSet, n_pairs: int) -> DetectionOutcome:
     metric = (np.abs(meas.y.reshape(cfg.n_pilots, -1)) ** 2).sum(axis=0)
     if not 1 <= n_pairs <= metric.size:
         raise ValueError("n_pairs must lie in [1, %d]" % metric.size)
-    tx_idx = np.arange(metric.size) // n_rxb
-    rx_idx = np.arange(metric.size) % n_rxb
-    order = np.lexsort((rx_idx, tx_idx, -metric))
-    est = tuple(BeamPair(int(tx_idx[i]), int(rx_idx[i])) for i in order[:n_pairs])
+    # a stable sort keeps equal energies in flat, i.e. (tx, rx), order
+    order = np.argsort(-metric, kind="stable")
+    est = tuple(BeamPair(*divmod(int(i), n_rxb)) for i in order[:n_pairs])
     return DetectionOutcome(estimated=est)
 
 

@@ -88,6 +88,11 @@ class ExperimentConfig:
     def effective_sparsity(self) -> int:
         return self.sparsity if self.sparsity else self.n_clusters * self.n_rays
 
+    @property
+    def channel_params(self) -> ChannelParams:
+        return ChannelParams(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(ChannelParams)})
+
     def validate(self) -> None:
         for m in self.methods:
             if m not in METHODS:
@@ -96,6 +101,16 @@ class ExperimentConfig:
             raise ValueError("methods must not be empty")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method in methods: %s" % ", ".join(self.methods))
+        for name in ("n_trials", "n_ant_bs", "n_ant_ue", "n_tx_entries", "n_rx_entries",
+                     "n_rf_ue", "n_fft", "n_pilots", "phase_bits", "tx_grid_mult",
+                     "rx_grid_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be positive" % name)
+        if self.phase_bits > 16:  # the phase table holds 2**phase_bits entries
+            raise ValueError("phase_bits must not exceed 16")
+        if self.n_pilots > self.n_fft:
+            raise ValueError("n_pilots must not exceed n_fft")
+        self.channel_params  # its constructor checks the channel fields
         multi_beam = [m for m in self.methods if m in (METHOD_OMP_MULTIBEAM, METHOD_OMP_DESIGNED)]
         if multi_beam and self.n_ant_bs % self.n_tx_entries:
             raise ValueError("%s requires n_ant_bs to be a multiple of n_tx_entries"
@@ -104,9 +119,6 @@ class ExperimentConfig:
             raise ValueError("n_rx_entries * n_rf_ue must not exceed n_ant_ue")
         if METHOD_ES in self.methods and self.n_tx_entries < self.n_tx_beams:
             raise ValueError("exhaustive search requires M_BS ≥ n_tx_beams")
-        for name in ("n_trials", "n_pilots", "phase_bits", "tx_grid_mult", "rx_grid_mult"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be positive" % name)
         if self.designed_sweeps < 0:
             raise ValueError("designed_sweeps must be non-negative")
         n_bins = self.n_ant_bs * self.tx_grid_mult * self.n_ant_ue * self.rx_grid_mult
@@ -169,11 +181,8 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
 
 
 def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
-    params = ChannelParams(n_clusters=cfg.n_clusters, n_rays=cfg.n_rays,
-                           gain_var=cfg.gain_var, delay_max=cfg.delay_max,
-                           ray_angle_std=cfg.ray_angle_std)
     ch_rng = np.random.default_rng(_seed(cfg.master_seed, _TAG_CHANNEL, t))
-    ch = sample_channel(params, assets["bs"], assets["ue"], ch_rng)
+    ch = sample_channel(cfg.channel_params, assets["bs"], assets["ue"], ch_rng)
     truth = true_pairs(ch, cfg.n_tx_beams, cfg.n_rx_beams)
     n_pairs = len(truth)
     records = []
@@ -301,9 +310,9 @@ def _coerce(name: str, value: str):
         return tuple(float(v) for v in value.split(","))
     if name == "methods":
         return tuple(v.strip() for v in value.split(","))
-    if ftype is int or ftype == "int":
+    if ftype is int:
         return int(value)
-    if ftype is float or ftype == "float":
+    if ftype is float:
         return float(value)
     return value
 

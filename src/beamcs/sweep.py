@@ -76,7 +76,8 @@ def transmit_vectors(tx_cb: Codebook, cfg: SweepConfig) -> np.ndarray:
     if tx_cb.n_entries != cfg.n_tx_entries:
         raise ValueError("tx codebook length does not match the sweep")
     s = np.ones(tx_cb.n_cols) / np.sqrt(tx_cb.n_cols)
-    x = np.stack([tx_cb.entry(m) @ s for m in range(tx_cb.n_entries)], axis=1)
+    # built C-ordered, so the norms below sum over antennas in one fixed order
+    x = tx_cb.entries.transpose(1, 0, 2) @ s
     return x / np.linalg.norm(x, axis=0, keepdims=True)
 
 
@@ -84,7 +85,7 @@ def _combiner(rx_cb: Codebook, cfg: SweepConfig) -> np.ndarray:
     """W: the rx entries side by side, one column per (rx entry, chain)."""
     if rx_cb.n_entries != cfg.n_rx_entries or rx_cb.n_cols != cfg.n_rf_ue:
         raise ValueError("rx codebook shape does not match the sweep")
-    return np.concatenate([rx_cb.entry(j) for j in range(cfg.n_rx_entries)], axis=1)
+    return rx_cb.columns
 
 
 def sweep_signal(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,

@@ -39,8 +39,6 @@ def test_steering_unit_norm_and_conjugate_symmetry():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(0)
-    with pytest.raises(ValueError):
-        ArrayGeometry(8, spacing=0.7)
 
 
 def test_grid_sin_values_dft_order():

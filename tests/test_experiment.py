@@ -50,9 +50,23 @@ def test_validate_rejects_bad_configs():
             ExperimentConfig(n_ant_bs=96, methods=(method,)).validate()
     with pytest.raises(ValueError, match="must not exceed n_ant_ue"):
         ExperimentConfig(n_rx_entries=3).validate()
-    for name in ("phase_bits", "n_pilots", "tx_grid_mult", "rx_grid_mult"):
+    for name in ("phase_bits", "n_pilots", "tx_grid_mult", "rx_grid_mult", "n_fft",
+                 "n_tx_entries", "n_rx_entries", "n_rf_ue", "n_ant_bs", "n_ant_ue"):
         with pytest.raises(ValueError, match=name + " must be positive"):
             ExperimentConfig(**{name: 0}).validate()
+    # only validated: a 40-bit phase table would need terabytes
+    with pytest.raises(ValueError, match="phase_bits must not exceed 16"):
+        ExperimentConfig(phase_bits=40).validate()
+    with pytest.raises(ValueError, match="n_pilots must not exceed n_fft"):
+        ExperimentConfig(n_fft=4).validate()
+    # the channel fields, each otherwise caught only in the first trial
+    for bad, message in ((dict(n_clusters=0, sparsity=6), "n_clusters must be positive"),
+                         (dict(n_rays=0, sparsity=6), "n_rays must be positive"),
+                         (dict(gain_var=0.0), "gain_var must be positive"),
+                         (dict(delay_max=-1e-9), "delay_max must be non-negative"),
+                         (dict(ray_angle_std=-0.01), "ray_angle_std must be non-negative")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**bad).validate()
     with pytest.raises(ValueError, match="designed_sweeps"):
         ExperimentConfig(designed_sweeps=-1, methods=("OMP-Designed",)).validate()
     # the default grid has 64*3 x 8*3 = 4608 bins
