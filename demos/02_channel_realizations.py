@@ -35,13 +35,13 @@ print("distinct delays:", len(delays))
 
 # frequency response at a few subcarriers (2 GHz-class OFDM numerology)
 cfg = dict(n_fft=4096, sample_rate=491.52e6)
-for k in (0, 1024, 2048):
-    h = freq_channel(ch, k, **cfg)
+ks = (0, 1024, 2048)
+for k, h in zip(ks, freq_channel(ch, ks, **cfg)):
     print("subcarrier %4d  ||H||_F = %.3f" % (k, np.linalg.norm(h)))
 
 # the sum over paths and the factored array-response form agree
-for k in (0, 777, 2048):
-    h_sum = freq_channel(ch, k, **cfg)
+ks = (0, 777, 2048)
+for k, h_sum in zip(ks, freq_channel(ch, ks, **cfg)):
     a_rx, h_d, a_tx = factorized_channel(ch, k, **cfg)
     h_fac = a_rx @ h_d @ a_tx.conj().T
     rel = np.linalg.norm(h_sum - h_fac) / np.linalg.norm(h_sum)
@@ -52,6 +52,6 @@ for k in (0, 777, 2048):
 norms = []
 for _ in range(300):
     c = sample_channel(params, bs, ue, rng)
-    norms.append(np.linalg.norm(freq_channel(c, 2048, **cfg)) ** 2)
+    norms.append(np.linalg.norm(freq_channel(c, [2048], **cfg)) ** 2)
 print("mean ||H||_F^2 over 300 draws: %.1f (target %d)"
       % (np.mean(norms), bs.n_ant * ue.n_ant))

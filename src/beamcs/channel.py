@@ -86,17 +86,22 @@ def sample_channel(params: ChannelParams, tx_geometry: ArrayGeometry,
     return ChannelRealization(paths, gain_scale, tx_geometry, rx_geometry)
 
 
-def freq_channel(ch: ChannelRealization, subcarrier: int, sample_rate: float,
+def freq_channel(ch: ChannelRealization, subcarriers, sample_rate: float,
                  n_fft: int) -> np.ndarray:
-    """(n_rx, n_tx) response at one subcarrier, as the sum over paths."""
-    n_rx = ch.rx_geometry.n_ant
-    n_tx = ch.tx_geometry.n_ant
-    h = np.zeros((n_rx, n_tx), dtype=complex)
+    """(n_sub, n_rx, n_tx) response at each subcarrier, as the sum over paths.
+
+    Each path's steering outer product is built once and scaled by its
+    gain and delay phase per subcarrier.
+    """
+    subcarriers = [int(k) for k in subcarriers]  # the phase below is scalar arithmetic
+    h = np.zeros((len(subcarriers), ch.rx_geometry.n_ant, ch.tx_geometry.n_ant),
+                 dtype=complex)
     for p in ch.paths:
-        phase = np.exp(-2j * np.pi * sample_rate * p.delay * subcarrier / n_fft)
-        a_rx = steering_vector(ch.rx_geometry, p.aoa)
-        a_tx = steering_vector(ch.tx_geometry, p.aod)
-        h += p.gain * phase * np.outer(a_rx, a_tx.conj())
+        outer = np.outer(steering_vector(ch.rx_geometry, p.aoa),
+                         steering_vector(ch.tx_geometry, p.aod).conj())
+        for ki, k in enumerate(subcarriers):
+            phase = np.exp(-2j * np.pi * sample_rate * p.delay * k / n_fft)
+            h[ki] += p.gain * phase * outer
     return ch.gain_scale * h
 
 

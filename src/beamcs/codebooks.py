@@ -46,27 +46,95 @@ KINDS = (KIND_DFT, KIND_RANDOM, KIND_MULTI_BEAM, KIND_DESIGNED)
 _ZERO_SUM_TOL = 1e-9
 
 
-def _ulp_step(x: float, k: int) -> float:
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
-    return x
+def _ordinal(x: np.ndarray) -> np.ndarray:
+    # float64 -> int64 that steps by one per ulp, across zero too
+    i = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
 
 
-def _exact_modulus(z: complex, amp: float) -> complex:
-    # smallest ulp nudge of (re, im) whose float magnitude equals amp exactly
-    best = None
-    for di in range(-6, 7):
-        re = _ulp_step(z.real, di)
-        for dj in range(-6, 7):
-            im = _ulp_step(z.imag, dj)
-            cand = np.complex128(complex(re, im))
-            if np.abs(cand) == amp:
-                cost = abs(di) + abs(dj)
-                if best is None or cost < best[0]:
-                    best = (cost, cand)
-    if best is None:
-        raise RuntimeError("no representable value with the target modulus near %r" % z)
-    return best[1]
+def _from_ordinal(n: np.ndarray) -> np.ndarray:
+    n = np.asarray(n, dtype=np.int64)
+    return np.where(n < 0, np.iinfo(np.int64).min - n, n).view(np.float64)
+
+
+def _solve_component(fixed: np.ndarray, start: np.ndarray, amp: float,
+                     fixed_is_real: bool) -> tuple:
+    """Per element, the value of the other component nearest start (in ulps,
+    same sign) whose complex magnitude with fixed is exactly amp, and
+    whether one exists. The float |z| is monotone in that component's
+    magnitude, so a bisection over its ulps finds it."""
+    n0 = np.broadcast_to(_ordinal(np.abs(start)), np.broadcast(fixed, start).shape)
+
+    def candidates(n):
+        other = np.copysign(_from_ordinal(n), start)
+        c = np.empty(n0.shape, dtype=complex)
+        c.real, c.imag = (fixed, other) if fixed_is_real else (other, fixed)
+        return c
+
+    def modulus(n):
+        return np.abs(candidates(n))  # complex abs: np.hypot can differ by an ulp
+
+    m0 = modulus(n0)
+    up = m0 < amp
+    # up: modulus(lo) < amp <= modulus(hi), answer hi;
+    # down: modulus(lo) <= amp < modulus(hi), answer lo
+    lo = np.where(up, n0, 0)
+    hi = np.where(up, _ordinal(amp), n0)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        m = modulus(mid)
+        above = np.where(up, m >= amp, m > amp)
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    n = np.where(m0 == amp, n0, np.where(up, hi, lo))
+    return candidates(n), modulus(n) == amp
+
+
+def _best_nudge(z: np.ndarray, amp: float, width: int) -> tuple:
+    """Per z, the best exact-modulus nudge with |di| <= width or
+    |dj| <= width, in the order of _exact_modulus, and its cost |di| + |dj|
+    (the int64 maximum where there is none). Each offset of one component
+    is paired with the nearest exact value of the other."""
+    z = z[:, None]
+    d = np.arange(-width, width + 1)
+    by_re, ok_re = _solve_component(_from_ordinal(_ordinal(z.real) + d), z.imag, amp, True)
+    by_im, ok_im = _solve_component(_from_ordinal(_ordinal(z.imag) + d), z.real, amp, False)
+    cand = np.concatenate([by_re, by_im], axis=1)
+    di = _ordinal(cand.real) - _ordinal(z.real)
+    dj = _ordinal(cand.imag) - _ordinal(z.imag)
+    cost = np.where(np.concatenate([ok_re, ok_im], axis=1), np.abs(di) + np.abs(dj),
+                    np.iinfo(np.int64).max)
+    outside = np.maximum(np.abs(di), np.abs(dj)) > 6
+    rows = np.broadcast_to(np.arange(len(z))[:, None], cand.shape)
+    best = np.lexsort([a.ravel() for a in (dj, di, outside, cost, rows)])
+    best = best.reshape(cand.shape)[:, 0]
+    return cand.ravel()[best], cost.ravel()[best]
+
+
+def _exact_modulus(z: np.ndarray, amp: float) -> np.ndarray:
+    """Per z, the ulp nudge (re by di, im by dj) whose float magnitude equals
+    amp exactly. Least |di| + |dj| wins; among equal costs a nudge inside the
+    +-6 ulp square wins, then the lower di, then the lower dj. That order
+    keeps the value of every phasor a +-6 ulp square scan could find.
+
+    A search of width w sees every nudge of cost <= 2w + 1, so a best
+    nudge that cheap is the best of all; the others are searched again
+    four times wider.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    todo = np.arange(len(z))
+    width = 6
+    while todo.size:
+        if width > 1536:
+            raise RuntimeError("no representable value with the target modulus near %r"
+                               % z[todo[0]])
+        cand, cost = _best_nudge(z[todo], amp, width)
+        done = cost <= 2 * width + 1
+        out[todo[done]] = cand[done]
+        todo = todo[~done]
+        width *= 4
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +143,7 @@ def _phasor_table(phase_bits: int, n_ant: int) -> np.ndarray:
     amp = math.sqrt(1.0 / n_ant)
     levels = 1 << phase_bits
     raw = amp * np.exp(2j * np.pi * np.arange(levels) / levels)
-    table = np.array([_exact_modulus(z, amp) for z in raw])
+    table = _exact_modulus(raw, amp)
     table.setflags(write=False)
     return table
 

@@ -127,18 +127,19 @@ def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     y = np.asarray(y, dtype=complex)
     residual = y.copy()
     support: list[int] = []
-    cols: list[np.ndarray] = []
+    # column i holds the i-th pick; a is a C-ordered view of the first i + 1
+    cols = np.empty((op.shape[0], sparsity), dtype=complex)
     res_norms: list[float] = []
     coef = np.zeros(0, dtype=complex)
     flagged = False
-    for _ in range(sparsity):
+    for i in range(sparsity):
         scores = np.abs(op.adjoint_apply(residual)) / safe_norms
         if support:
             scores[np.asarray(support)] = -1.0
         g = int(np.argmax(scores))
         support.append(g)
-        cols.append(op.column(g))
-        a = np.stack(cols, axis=1)
+        cols[:, i] = op.column(g)
+        a = cols[:, :i + 1]
         coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
         if rank < len(support):
             gram = a.conj().T @ a + ridge * np.eye(len(support))

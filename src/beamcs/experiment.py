@@ -106,6 +106,9 @@ class ExperimentConfig:
                      "rx_grid_mult"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
+        for name in ("tx_power", "sample_rate"):
+            if not getattr(self, name) > 0:
+                raise ValueError("%s must be positive" % name)
         if self.phase_bits > 16:  # the phase table holds 2**phase_bits entries
             raise ValueError("phase_bits must not exceed 16")
         if self.n_pilots > self.n_fft:

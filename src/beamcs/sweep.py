@@ -95,9 +95,10 @@ def sweep_signal(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,
         raise ValueError("codebook antenna counts do not match the channel")
     w_h = _combiner(rx_cb, cfg).conj().T
     x = transmit_vectors(tx_cb, cfg)
+    h = freq_channel(ch, cfg.pilots, cfg.sample_rate, cfg.n_fft)
     sig = np.empty((cfg.n_pilots, w_h.shape[0], cfg.n_tx_entries), dtype=complex)
-    for ki, k in enumerate(cfg.pilots):
-        sig[ki] = w_h @ freq_channel(ch, int(k), cfg.sample_rate, cfg.n_fft) @ x
+    for ki in range(cfg.n_pilots):
+        sig[ki] = w_h @ h[ki] @ x
     sig_b = sig.reshape(cfg.n_pilots, cfg.n_rx_entries, cfg.n_rf_ue,
                         cfg.n_tx_entries).transpose(0, 3, 1, 2)
     return np.sqrt(cfg.tx_power) * sig_b
@@ -158,8 +159,8 @@ class SensingOperator:
 
     def column(self, g: int) -> np.ndarray:
         gt, gr = divmod(g, self.n_rx_bins)
-        return np.tile(np.kron(self.tx_factor[:, gt], self.rx_factor[:, gr]),
-                       self.n_pilots)
+        block = np.outer(self.tx_factor[:, gt], self.rx_factor[:, gr]).reshape(-1)
+        return np.broadcast_to(block, (self.n_pilots, block.size)).reshape(-1)
 
     def col_norms(self) -> np.ndarray:
         tn = np.linalg.norm(self.tx_factor, axis=0)

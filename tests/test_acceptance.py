@@ -211,8 +211,8 @@ def test_criterion_6a_channel_forms_agree():
     worst = 0.0
     for _ in range(50):
         ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8), rng)
-        for k in (0, 1024, 2043, 4095):
-            h = freq_channel(ch, k, sample_rate=491.52e6, n_fft=4096)
+        ks = (0, 1024, 2043, 4095)
+        for k, h in zip(ks, freq_channel(ch, ks, sample_rate=491.52e6, n_fft=4096)):
             a_rx, h_d, a_tx = factorized_channel(ch, k, sample_rate=491.52e6, n_fft=4096)
             rel = np.linalg.norm(h - a_rx @ h_d @ a_tx.conj().T) / np.linalg.norm(h)
             worst = max(worst, rel)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,9 +7,9 @@ from scipy.stats import chi2
 
 from beamcs.arrays import ArrayGeometry, build_grid
 from beamcs.codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
-                              Codebook, designed_codebook, dft_codebook, group_columns,
-                              load_codebook, multi_beam_dft_codebook, quantize_phases,
-                              random_codebook, save_codebook, total_coherence)
+                              Codebook, _phasor_table, designed_codebook, dft_codebook,
+                              group_columns, load_codebook, multi_beam_dft_codebook,
+                              quantize_phases, random_codebook, save_codebook, total_coherence)
 
 
 def all_books():
@@ -67,6 +69,16 @@ def test_phase_grid_membership_exact(cb):
     assert cb.phase_indices.max() < 2 ** cb.phase_bits
     for m in range(cb.n_entries):
         assert np.array_equal(quantize_phases(cb.entry(m), cb.phase_bits), cb.entry(m))
+
+
+def test_phasor_equal_cost_tie_keeps_the_nudge_inside_six_ulps():
+    # entry 111 of the (8 bits, 53 antennas) table has two exact nudges of
+    # 7 ulps, (re +1, im +6) and (re 0, im -7); the one inside +-6 ulps wins
+    z = math.sqrt(1.0 / 53) * np.exp(2j * np.pi * 111 / 256)
+    re, im = math.nextafter(z.real, math.inf), z.imag
+    for _ in range(6):
+        im = math.nextafter(im, math.inf)
+    assert _phasor_table(8, 53)[111] == complex(re, im)
 
 
 def test_dft_unquantized_orthonormal():

@@ -54,6 +54,12 @@ def test_validate_rejects_bad_configs():
                  "n_tx_entries", "n_rx_entries", "n_rf_ue", "n_ant_bs", "n_ant_ue"):
         with pytest.raises(ValueError, match=name + " must be positive"):
             ExperimentConfig(**{name: 0}).validate()
+    # tx_power=0 used to fail only at the sweep set-up; sample_rate=0 silently
+    # made the channel frequency-flat
+    for name in ("tx_power", "sample_rate"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=name + " must be positive"):
+                ExperimentConfig(**{name: value}).validate()
     # only validated: a 40-bit phase table would need terabytes
     with pytest.raises(ValueError, match="phase_bits must not exceed 16"):
         ExperimentConfig(phase_bits=40).validate()
@@ -84,10 +90,23 @@ GOLDEN_SHA256 = ("9fc6b356eb7427564cbb2eab7fac9619706e107647b89957e369b10cab1e18
                  "468abc0a51493e9e32b689fc5cab264917decb5336fddabbad7e6afe6f3727bd")
 
 
+# The same for the 128-antenna scaling config at 10 trials and one SNR point.
+# There the multi-beam transmit factor has parallel columns and rounding
+# decides OMP's pick among them, so this case catches any change to the
+# arithmetic on that path.
+GOLDEN_ALIASED = dict(n_ant_bs=128, methods=("OMP-MultiBeam", "OMP-Designed"),
+                      snr_db=(20.0,), n_trials=10, designed_sweeps=2)
+GOLDEN_ALIASED_SHA256 = (
+    "8bab0761eb72290c7170f40b044389c547d07970ca88f014b6d36c0b7c764644",
+    "4268e7671c4beb836f71d3b6b603a7c0fa19f9ecdfb4c3bb525d89e04d9b61d6")
+
+
 def test_golden_bytes(tmp_path):
-    records, stats = run_experiment(ExperimentConfig(**GOLDEN))
-    paths = emit_csv(records, stats, tmp_path)
-    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == GOLDEN_SHA256
+    for name, fields, digests in (("default", GOLDEN, GOLDEN_SHA256),
+                                  ("aliased128", GOLDEN_ALIASED, GOLDEN_ALIASED_SHA256)):
+        records, stats = run_experiment(ExperimentConfig(**fields))
+        paths = emit_csv(records, stats, tmp_path / name)
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests, name
 
 
 def test_exhaustive_search_rejected_beyond_codebook_size():

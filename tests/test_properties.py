@@ -1,5 +1,6 @@
-"""Property tests over codebook construction and layout, the circular beam
-difference, codebook serialization and the sensing operator's adjoint."""
+"""Property tests over the phasor table, codebook construction and layout,
+the circular beam difference, codebook serialization, the sensing
+operator's adjoint and OMP's exact recovery."""
 
 import math
 from contextlib import contextmanager
@@ -7,14 +8,15 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beamcs import codebooks
 from beamcs.arrays import ArrayGeometry, build_grid
-from beamcs.codebooks import (Codebook, _combined_indices, dft_codebook, group_columns,
-                              load_codebook, random_codebook, save_codebook)
-from beamcs.detect import signed_circular_diff
+from beamcs.codebooks import (Codebook, _combined_indices, _phasor_table, _quantize_indices,
+                              dft_codebook, group_columns, load_codebook, random_codebook,
+                              save_codebook)
+from beamcs.detect import omp, signed_circular_diff
 from beamcs.sweep import SweepConfig, build_sensing_operator
 
 # derandomized and without an example database, so every run draws the
@@ -27,13 +29,33 @@ def index_valued_entries():
     """Make every codebook entry equal its phase index as a complex number.
 
     These properties are about indices and layout, which the phasor table
-    does not affect. The real table cannot be built for some (n_ant,
-    phase_bits), such as (7, 6): no complex double near the target phasor
-    has the exact modulus sqrt(1/n_ant) within the searched ulps.
+    does not affect; with index-valued entries a layout error shows in the
+    entries too.
     """
     with mock.patch.object(codebooks, "_phasor_table",
                            lambda phase_bits, n_ant: np.arange(1 << phase_bits) + 0j):
         yield
+
+
+# the examples need a nudge of more than 6 ulps in some component
+@PROPS
+@example(7, 5)
+@example(7, 6)
+@example(7, 7)
+@example(7, 8)
+@example(10, 6)
+@example(50, 4)
+@example(100, 7)
+@given(n_ant=st.integers(1, 256), phase_bits=st.integers(1, 8))
+def test_phasor_table_exact_modulus_and_nearest_phase(n_ant, phase_bits):
+    table = _phasor_table(phase_bits, n_ant)
+    levels = 1 << phase_bits
+    amp = math.sqrt(1.0 / n_ant)
+    assert np.all(np.abs(table) == amp)
+    # each entry is its grid phasor to within rounding, so quantizes back to its index
+    assert np.array_equal(_quantize_indices(np.angle(table), phase_bits), np.arange(levels))
+    grid = amp * np.exp(2j * np.pi * np.arange(levels) / levels)
+    assert np.max(np.abs(table - grid)) < 1e-13 * amp
 
 
 def dft_indices_oracle(n_ant: int, n_beams: int, phase_bits: int) -> np.ndarray:
@@ -140,3 +162,24 @@ def test_operator_adjoint_identity(n_tx, n_rx, n_tx_entries, n_rx_entries, n_rf,
     rhs = np.vdot(op.adjoint_apply(r), h)
     scale = np.linalg.norm(op.to_dense()) * np.linalg.norm(h) * np.linalg.norm(r)
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@PROPS
+@given(n_cols=st.integers(2, 48), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_omp_recovers_the_support_of_incoherent_sparse_signals(n_cols, seed, data):
+    # noiseless y = A x with k nonzeros of modulus in [1, 2]. Mutual coherence
+    # mu < 1 / (2k - 1) guarantees OMP picks a true column every iteration
+    # (Tropp, IEEE TIT 2004), so k iterations return the true support.
+    k = data.draw(st.integers(1, min(3, n_cols - 1)))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((256, n_cols, 2)) @ np.array([1.0, 1j])
+    a /= np.linalg.norm(a, axis=0)
+    gram = np.abs(a.conj().T @ a)
+    np.fill_diagonal(gram, 0.0)
+    assume(gram.max() * (2 * k - 1) < 1.0)
+    support = rng.choice(n_cols, size=k, replace=False)
+    x = rng.uniform(1.0, 2.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+    result = omp(a, a[:, support] @ x, k)
+    assert sorted(result.support) == sorted(support)
+    assert not result.ridge_flagged
+    assert np.linalg.norm(result.residual) <= 1e-10 * np.linalg.norm(x)

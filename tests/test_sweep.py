@@ -55,9 +55,10 @@ def test_measurement_vector_length_and_energy_layout():
                     default_cfg(noise_var=0.0), np.random.default_rng(2))
     x = transmit_vectors(tx, cfg)
     w = np.concatenate([rx.entry(j) for j in range(2)], axis=1)
+    h = freq_channel(ch, cfg.pilots, FS, 4096)
     for (i, j, r, k) in [(0, 0, 0, 0), (5, 1, 2, 3), (63, 1, 3, 9), (17, 0, 1, 7)]:
         flat = k * 128 * 4 + (i * 2 + j) * 4 + r
-        want = w[:, j * 4 + r].conj() @ freq_channel(ch, int(cfg.pilots[k]), FS, 4096) @ x[:, i]
+        want = w[:, j * 4 + r].conj() @ h[k] @ x[:, i]
         assert abs(quiet.y[flat] - want) < 1e-12 * (1.0 + abs(want))
 
 
@@ -185,6 +186,14 @@ def test_operator_columns_and_norms_match_dense():
     assert_allclose(op.col_norms(), np.linalg.norm(dense, axis=0), atol=1e-12)
     for g in (0, 7, op.shape[1] - 1):
         assert_allclose(op.column(g), dense[:, g], atol=1e-14)
+
+
+def test_operator_column_is_the_tiled_kronecker_column_bitwise():
+    op = small_operator()
+    tx, rx = op.tx_factor, op.rx_factor
+    for g in range(op.shape[1]):
+        gt, gr = divmod(g, op.n_rx_bins)
+        assert np.array_equal(op.column(g), np.tile(np.kron(tx[:, gt], rx[:, gr]), op.n_pilots))
 
 
 def test_operator_reduces_to_grid_kronecker_for_identity_beams():
