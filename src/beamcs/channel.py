@@ -24,12 +24,15 @@ class ChannelParams:
     ray_angle_std: float = math.radians(2.0)
 
     def __post_init__(self):
+        # written as `not (...)` so that NaN fails too
         for name in ("n_clusters", "n_rays", "gain_var"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError("%s must be positive and finite" % name)
         for name in ("delay_max", "ray_angle_std"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be non-negative" % name)
+            v = getattr(self, name)
+            if not (v >= 0 and math.isfinite(v)):
+                raise ValueError("%s must be non-negative and finite" % name)
 
 
 @dataclass(frozen=True)

@@ -262,26 +262,29 @@ def random_codebook(n_ant: int, n_entries: int, n_cols: int, phase_bits: int,
     return _from_indices(KIND_RANDOM, n_ant, phase_bits, idx)
 
 
-def _combined_indices(n_ant: int, n_entries: int, phase_bits: int,
-                      rotations: np.ndarray, m=slice(None)) -> np.ndarray:
-    """Quantizer indices of entries m of a phase-only combined DFT codebook,
-    shape (len(m), n_ant, 1); all entries by default.
-
-    Entry m sums DFT beams m, m+n_entries, ...; rotations[m, j] is the
-    quantizer index of the phase applied to its constituent beam j before
-    summing. Sums are built from exactly reduced integer phases; magnitudes
-    below the cancellation tolerance quantize to index 0 instead of
-    inheriting rounding noise.
-    """
-    beams_per = n_ant // n_entries
-    levels = 1 << phase_bits
+def _beam_angles(n_ant: int, n_entries: int) -> np.ndarray:
+    """(n_entries, n_ant, n_ant // n_entries) phases of the DFT beams an entry
+    combines: entry m takes beams m, m+n_entries, ..., phase 2*pi*k/n_ant
+    with k = n*beam reduced exactly mod n_ant."""
     n = np.arange(n_ant)[:, None]
-    beams = np.arange(n_entries)[m][:, None, None] + n_entries * np.arange(beams_per)
-    ang = 2.0 * np.pi * ((n * beams) % n_ant) / n_ant \
-        + 2.0 * np.pi * rotations[m][:, None, :] / levels
+    beams = np.arange(n_entries)[:, None, None] + n_entries * np.arange(n_ant // n_entries)
+    return 2.0 * np.pi * ((n * beams) % n_ant) / n_ant
+
+
+def _combined_indices(beam_angles: np.ndarray, rotations: np.ndarray,
+                      phase_bits: int) -> np.ndarray:
+    """Quantizer indices of phase-only combined DFT entries, shape
+    (len(beam_angles), n_ant, 1), from rows of _beam_angles.
+
+    rotations[m, j] is the quantizer index of the phase applied to beam j
+    of entry m before summing. Magnitudes below the cancellation tolerance
+    quantize to index 0 instead of inheriting rounding noise.
+    """
+    levels = 1 << phase_bits
+    ang = beam_angles + 2.0 * np.pi * rotations[:, None, :] / levels
     s = np.exp(1j * ang).sum(axis=2)
     idx = _quantize_indices(np.angle(s), phase_bits)
-    idx[np.abs(s) < _ZERO_SUM_TOL * beams_per] = 0
+    idx[np.abs(s) < _ZERO_SUM_TOL * beam_angles.shape[2]] = 0
     return idx[:, :, None]
 
 
@@ -295,19 +298,22 @@ def multi_beam_dft_codebook(n_ant: int, n_entries: int = 64,
     if n_ant % n_entries:
         raise ValueError("n_ant must be a multiple of n_entries")
     rotations = np.zeros((n_entries, n_ant // n_entries), dtype=np.int64)
-    idx = _combined_indices(n_ant, n_entries, phase_bits, rotations)
+    idx = _combined_indices(_beam_angles(n_ant, n_entries), rotations, phase_bits)
     return _from_indices(KIND_MULTI_BEAM, n_ant, phase_bits, idx)
 
 
 def _coherence_of_effective(eff: np.ndarray) -> float:
     # sum_{i != j} |<c_i, c_j>|^2 over unit-normalized columns, via the
-    # row-space Gram so cost scales with slots^2 * bins, not bins^2
-    d = np.einsum("ij,ij->j", eff, eff.conj()).real
-    d = np.where(d > 0.0, d, np.inf)
-    z = eff / np.sqrt(d)[None, :]
+    # row-space Gram so cost scales with slots^2 * bins, not bins^2.
+    # Bit-equal to an einsum of c * conj(c) and a complex division: re^2 +
+    # im^2 is the real part of c * conj(c), summed down the rows in the same
+    # order, and dividing by sqrt(d) + 0j multiplies by 1/sqrt(d). All-zero
+    # columns scale by 1/inf = 0 and are not counted.
+    d = (eff.real ** 2 + eff.imag ** 2).sum(axis=0)
+    usable = d > 0.0
+    z = eff * (1.0 / np.sqrt(np.where(usable, d, np.inf)))
     w = z @ z.conj().T
-    n_finite = int(np.isfinite(d).sum())
-    return float(np.sum(np.abs(w) ** 2) - n_finite)
+    return float(np.sum(np.abs(w) ** 2) - int(usable.sum()))
 
 
 def total_coherence(cb: Codebook, grid: GridDictionary) -> float:
@@ -337,7 +343,8 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
     beams_per = n_ant // n_entries
     levels = 1 << phase_bits
     rotations = np.zeros((n_entries, beams_per), dtype=np.int64)
-    idx = _combined_indices(n_ant, n_entries, phase_bits, rotations)
+    beam_angles = _beam_angles(n_ant, n_entries)
+    idx = _combined_indices(beam_angles, rotations, phase_bits)
     start = _from_indices(KIND_DESIGNED, n_ant, phase_bits, idx)
     if beams_per == 1:
         return start
@@ -355,7 +362,8 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
                     continue
                 old = rotations[m, j]
                 rotations[m, j] = cand
-                cand_idx = _combined_indices(n_ant, n_entries, phase_bits, rotations, [m])
+                cand_idx = _combined_indices(beam_angles[m:m + 1], rotations[m:m + 1],
+                                             phase_bits)
                 new_row = table[cand_idx[0, :, 0]] @ atoms_conj
                 old_row = eff[m].copy()
                 eff[m] = new_row

@@ -107,8 +107,9 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
         for name in ("tx_power", "sample_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError("%s must be positive" % name)
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError("%s must be positive and finite" % name)
         if self.phase_bits > 16:  # the phase table holds 2**phase_bits entries
             raise ValueError("phase_bits must not exceed 16")
         if self.n_pilots > self.n_fft:
@@ -130,6 +131,8 @@ class ExperimentConfig:
                              % n_bins)
         if not self.snr_db:
             raise ValueError("snr_db must not be empty")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ValueError("snr_db points must be finite")
         if len({_snr_key(s) for s in self.snr_db}) != len(self.snr_db):
             raise ValueError("snr_db points must differ after rounding to 0.001 dB")
         if self.workers < 1:
@@ -291,6 +294,8 @@ def _parse_snr_range(text: str) -> tuple:
     if len(parts) != 3:
         raise ValueError("snr range must be start:step:stop")
     start, step, stop = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise ValueError("snr range must be finite")
     if step <= 0:
         raise ValueError("snr step must be positive")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1

@@ -113,7 +113,7 @@ def acquire(signal: np.ndarray, rx_cb: Codebook, cfg: SweepConfig,
     # one antenna-domain noise vector per (pilot, tx entry, rx entry)
     draws = rng.standard_normal(
         size=(cfg.n_pilots, cfg.n_tx_entries, cfg.n_rx_entries, rx_cb.n_ant, 2))
-    z = (draws[..., 0] + 1j * draws[..., 1]) * np.sqrt(cfg.noise_var / 2.0)
+    z = draws.view(complex)[..., 0] * np.sqrt(cfg.noise_var / 2.0)  # pairs as (re, im)
     w_h_split = w_h.reshape(cfg.n_rx_entries, cfg.n_rf_ue, rx_cb.n_ant)
     noise = np.einsum("jre,kije->kijr", w_h_split, z)
     return MeasurementSet((signal + noise).reshape(-1), cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -53,6 +54,21 @@ def test_quantize_idempotent_on_grid():
     # flatten entry-wise instead: check each entry matrix round-trips bitwise
     for m in range(cb.n_entries):
         assert np.array_equal(quantize_phases(cb.entry(m), 6), cb.entry(m))
+
+
+# SHA-256 of the little-endian int64 phase indices, recorded while the search
+# scored with an einsum and a complex division; a change of rounding in the
+# score can flip an accept and move them
+@pytest.mark.parametrize("n_ant, grid_mult, phase_bits, sweeps, digest", [
+    (128, 3, 6, 5, "8ebb3c496769ebad248e38e518abdb7a68aeabe0b291034c3cb76a621537b621"),
+    (256, 3, 6, 2, "6c94afe93b98833b6120b765ede3b6074d056fe1386e5446f6693a25f7313681"),
+    (128, 2, 4, 5, "b2ee4645f9b1e7cb745e114e7766eaa5e9f7ea60ccccf2261ec3714f1537d9ce"),
+], ids=["128ant-grid3-6bit", "256ant-grid3-6bit", "128ant-grid2-4bit"])
+def test_designed_phase_indices_digest(n_ant, grid_mult, phase_bits, sweeps, digest):
+    grid = build_grid(ArrayGeometry(n_ant), grid_mult)
+    d = designed_codebook(n_ant, grid, 64, phase_bits, np.random.default_rng(7), sweeps=sweeps)
+    got = hashlib.sha256(np.ascontiguousarray(d.phase_indices, dtype="<i8").tobytes())
+    assert got.hexdigest() == digest
 
 
 @pytest.mark.parametrize("cb", all_books(), ids=lambda c: c.kind + str(c.n_ant) + "x" + str(c.n_cols))

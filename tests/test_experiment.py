@@ -57,8 +57,8 @@ def test_validate_rejects_bad_configs():
     # tx_power=0 used to fail only at the sweep set-up; sample_rate=0 silently
     # made the channel frequency-flat
     for name in ("tx_power", "sample_rate"):
-        for value in (0.0, -1.0):
-            with pytest.raises(ValueError, match=name + " must be positive"):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name + " must be positive and finite"):
                 ExperimentConfig(**{name: value}).validate()
     # only validated: a 40-bit phase table would need terabytes
     with pytest.raises(ValueError, match="phase_bits must not exceed 16"):
@@ -73,6 +73,16 @@ def test_validate_rejects_bad_configs():
                          (dict(ray_angle_std=-0.01), "ray_angle_std must be non-negative")):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**bad).validate()
+    # NaN passed the `<= 0` and `< 0` tests, inf passed every test
+    for name, kind in (("gain_var", "positive"), ("delay_max", "non-negative"),
+                       ("ray_angle_std", "non-negative")):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="%s must be %s and finite" % (name, kind)):
+                ExperimentConfig(**{name: value}).validate()
+    # these failed in _snr_key with errors that named no field
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="snr_db points must be finite"):
+            ExperimentConfig(snr_db=(0.0, value)).validate()
     with pytest.raises(ValueError, match="designed_sweeps"):
         ExperimentConfig(designed_sweeps=-1, methods=("OMP-Designed",)).validate()
     # the default grid has 64*3 x 8*3 = 4608 bins
@@ -127,6 +137,9 @@ def test_parse_snr_range():
         _parse_snr_range("0:-5:10")
     with pytest.raises(ValueError):
         _parse_snr_range("10:5:0")
+    for text in ("nan:5:10", "0:nan:10", "0:5:inf"):
+        with pytest.raises(ValueError, match="snr range must be finite"):
+            _parse_snr_range(text)
 
 
 def test_parse_config_file(tmp_path):

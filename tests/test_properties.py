@@ -1,6 +1,7 @@
 """Property tests over the phasor table, codebook construction and layout,
-the circular beam difference, codebook serialization, the sensing
-operator's adjoint and OMP's exact recovery."""
+the coherence score of the designed search, the circular beam difference,
+codebook serialization, the sensing operator's adjoint and OMP's exact
+recovery."""
 
 import math
 from contextlib import contextmanager
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from beamcs import codebooks
 from beamcs.arrays import ArrayGeometry, build_grid
-from beamcs.codebooks import (Codebook, _combined_indices, _phasor_table, _quantize_indices,
+from beamcs.codebooks import (Codebook, _beam_angles, _coherence_of_effective,
+                              _combined_indices, _phasor_table, _quantize_indices,
                               dft_codebook, group_columns, load_codebook, random_codebook,
                               save_codebook)
 from beamcs.detect import omp, signed_circular_diff
@@ -88,11 +90,39 @@ def test_combined_indices_of_one_entry_match_full_build(n_entries, beams_per, ph
     n_ant = n_entries * beams_per
     rotations = np.random.default_rng(seed).integers(
         0, 1 << phase_bits, size=(n_entries, beams_per))
-    full = _combined_indices(n_ant, n_entries, phase_bits, rotations)
+    angles = _beam_angles(n_ant, n_entries)
+    full = _combined_indices(angles, rotations, phase_bits)
     assert full.shape == (n_entries, n_ant, 1)
     m = data.draw(st.integers(0, n_entries - 1))
-    one = _combined_indices(n_ant, n_entries, phase_bits, rotations, [m])
+    one = _combined_indices(angles[m:m + 1], rotations[m:m + 1], phase_bits)
     assert np.array_equal(one, full[[m]])
+
+
+def coherence_of_effective_oracle(eff: np.ndarray) -> float:
+    # the score as first written: einsum column energies, complex division
+    d = np.einsum("ij,ij->j", eff, eff.conj()).real
+    d = np.where(d > 0.0, d, np.inf)
+    z = eff / np.sqrt(d)[None, :]
+    w = z @ z.conj().T
+    n_finite = int(np.isfinite(d).sum())
+    return float(np.sum(np.abs(w) ** 2) - n_finite)
+
+
+# the designed search accepts a candidate on a strict < of this score, and
+# many candidates score within rounding of the best, so only equal bits
+# keep its accept/reject sequence. Both forms sum a C-ordered matrix down
+# the rows one row at a time; a single column is summed pairwise instead,
+# so it is left out here (its score is zero up to rounding, and the search
+# scores at least 2 * n_entries columns)
+@PROPS
+@given(rows=st.integers(1, 64), cols=st.integers(2, 800), zero_frac=st.sampled_from([0, 0.2, 1]),
+       log_scale=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
+def test_coherence_score_bit_equals_the_einsum_division_form(rows, cols, zero_frac, log_scale,
+                                                             seed):
+    rng = np.random.default_rng(seed)
+    eff = rng.standard_normal((rows, cols, 2)) @ np.array([1.0, 1j]) * 10.0 ** log_scale
+    eff[:, rng.random(cols) < zero_frac] = 0.0
+    assert _coherence_of_effective(eff) == coherence_of_effective_oracle(eff)
 
 
 @PROPS
