@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import codebooks
 from .arrays import ArrayGeometry, build_grid
 from .channel import ChannelParams, sample_channel
 from .codebooks import (designed_codebook, dft_codebook, group_columns,
@@ -67,7 +68,6 @@ class ExperimentConfig:
     ray_angle_std: float = math.radians(2.0)
     gain_var: float = 1.0
     sparsity: int = 0  # 0 means n_clusters * n_rays
-    tx_power: float = 1.0
     snr_db: tuple = tuple(float(v) for v in range(-30, 35, 5))
     n_trials: int = 500
     methods: tuple = (METHOD_ES, METHOD_OMP_RANDOM, METHOD_OMP_DFT)
@@ -106,12 +106,16 @@ class ExperimentConfig:
                      "rx_grid_mult"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
-        for name in ("tx_power", "sample_rate"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError("%s must be positive and finite" % name)
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+            raise ValueError("sample_rate must be positive and finite")
         if self.phase_bits > 16:  # the phase table holds 2**phase_bits entries
             raise ValueError("phase_bits must not exceed 16")
+        for name in ("n_ant_bs", "n_ant_ue"):
+            try:
+                codebooks._phasor_table(self.phase_bits, getattr(self, name))
+            except RuntimeError:
+                raise ValueError("phase_bits=%d has no exact-modulus phasor table at %s=%d"
+                                 % (self.phase_bits, name, getattr(self, name))) from None
         if self.n_pilots > self.n_fft:
             raise ValueError("n_pilots must not exceed n_fft")
         self.channel_params  # its constructor checks the channel fields
@@ -141,11 +145,9 @@ class ExperimentConfig:
             raise ValueError("master_seed must be non-negative")
 
     def sweep_config(self, snr_db: float) -> SweepConfig:
-        noise_var = self.tx_power * 10.0 ** (-snr_db / 10.0)
         return SweepConfig(n_tx_entries=self.n_tx_entries, n_rx_entries=self.n_rx_entries,
                            n_rf_ue=self.n_rf_ue, n_pilots=self.n_pilots, n_fft=self.n_fft,
-                           sample_rate=self.sample_rate, tx_power=self.tx_power,
-                           noise_var=noise_var)
+                           sample_rate=self.sample_rate, noise_var=10.0 ** (-snr_db / 10.0))
 
 
 def _seed(master: int, *parts: int) -> np.random.SeedSequence:

@@ -38,14 +38,13 @@ class SweepConfig:
     n_pilots: int = 10
     n_fft: int = 4096
     sample_rate: float = 491.52e6
-    tx_power: float = 1.0
     noise_var: float = 1.0
 
     def __post_init__(self):
         if min(self.n_tx_entries, self.n_rx_entries, self.n_rf_ue, self.n_pilots) < 1:
             raise ValueError("sweep dimensions must be positive")
-        if self.tx_power <= 0 or self.noise_var < 0:
-            raise ValueError("tx_power must be positive and noise_var non-negative")
+        if self.noise_var < 0:
+            raise ValueError("noise_var must be non-negative")
 
     @property
     def pilots(self) -> np.ndarray:
@@ -99,9 +98,8 @@ def sweep_signal(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,
     sig = np.empty((cfg.n_pilots, w_h.shape[0], cfg.n_tx_entries), dtype=complex)
     for ki in range(cfg.n_pilots):
         sig[ki] = w_h @ h[ki] @ x
-    sig_b = sig.reshape(cfg.n_pilots, cfg.n_rx_entries, cfg.n_rf_ue,
-                        cfg.n_tx_entries).transpose(0, 3, 1, 2)
-    return np.sqrt(cfg.tx_power) * sig_b
+    return sig.reshape(cfg.n_pilots, cfg.n_rx_entries, cfg.n_rf_ue,
+                       cfg.n_tx_entries).transpose(0, 3, 1, 2)
 
 
 def acquire(signal: np.ndarray, rx_cb: Codebook, cfg: SweepConfig,

@@ -97,6 +97,17 @@ def test_phasor_equal_cost_tie_keeps_the_nudge_inside_six_ulps():
     assert _phasor_table(8, 53)[111] == complex(re, im)
 
 
+def test_phasor_tables_digest():
+    """SHA-256 over every (phase_bits 1-8, n_ant 1-256) table, little-endian
+    complex128, bits outer. The tables depend on numpy's complex abs, so the
+    digest holds where numpy dispatches X86_V3 or higher (AVX2 and FMA)."""
+    h = hashlib.sha256()
+    for phase_bits in range(1, 9):
+        for n_ant in range(1, 257):
+            h.update(np.ascontiguousarray(_phasor_table(phase_bits, n_ant), dtype="<c16"))
+    assert h.hexdigest() == "a562be54b7ca4a3e428aac23020f727fb0f8922227da6eebf25f762f4edc96b0"
+
+
 def test_dft_unquantized_orthonormal():
     cb = dft_codebook(16, 16, phase_bits=None)
     mat = np.concatenate([cb.entry(m) for m in range(16)], axis=1)

@@ -1,9 +1,11 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from beamcs import codebooks
 from beamcs.experiment import (METHODS, ExperimentConfig, _parse_snr_range, emit_csv, main,
                                parse_config_file, run_experiment)
 
@@ -28,7 +30,7 @@ def test_sweep_config_sets_noise_from_snr():
     cfg = ExperimentConfig()
     assert cfg.sweep_config(10.0).noise_var == pytest.approx(0.1, rel=1e-12)
     assert cfg.sweep_config(-20.0).noise_var == pytest.approx(100.0, rel=1e-12)
-    assert cfg.sweep_config(0.0).tx_power == 1.0
+    assert cfg.sweep_config(0.0).noise_var == 1.0
 
 
 def test_validate_rejects_bad_configs():
@@ -54,12 +56,10 @@ def test_validate_rejects_bad_configs():
                  "n_tx_entries", "n_rx_entries", "n_rf_ue", "n_ant_bs", "n_ant_ue"):
         with pytest.raises(ValueError, match=name + " must be positive"):
             ExperimentConfig(**{name: 0}).validate()
-    # tx_power=0 used to fail only at the sweep set-up; sample_rate=0 silently
-    # made the channel frequency-flat
-    for name in ("tx_power", "sample_rate"):
-        for value in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match=name + " must be positive and finite"):
-                ExperimentConfig(**{name: value}).validate()
+    # sample_rate=0 silently made the channel frequency-flat
+    for value in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+            ExperimentConfig(sample_rate=value).validate()
     # only validated: a 40-bit phase table would need terabytes
     with pytest.raises(ValueError, match="phase_bits must not exceed 16"):
         ExperimentConfig(phase_bits=40).validate()
@@ -90,6 +90,19 @@ def test_validate_rejects_bad_configs():
         with pytest.raises(ValueError, match=r"sparsity must lie in \[1, 4608\]"):
             ExperimentConfig(sparsity=sparsity).validate()
     ExperimentConfig(sparsity=4608).validate()
+
+
+def test_validate_rejects_an_unbuildable_phasor_table():
+    # (16 bits, 200 antennas) is such a pair, with nudges of 3,693 ulps;
+    # unchecked, it fails in the asset build with an error naming no field
+    for field, bad_n in (("n_ant_bs", 64), ("n_ant_ue", 8)):
+        def table(phase_bits, n_ant):
+            if n_ant == bad_n:
+                raise RuntimeError("no representable value with the target modulus")
+            return np.ones(1 << phase_bits, dtype=complex)
+        with mock.patch.object(codebooks, "_phasor_table", table):
+            with pytest.raises(ValueError, match="phase_bits=6 .* %s=%d$" % (field, bad_n)):
+                ExperimentConfig().validate()
 
 
 # The default config at 3 trials with every method, and the SHA-256 of its
@@ -145,11 +158,11 @@ def test_parse_snr_range():
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("# comment\n\nn_trials = 25\nsnr_db = -10:10:10\n"
-                 "methods = ES, OMP-DFT\nmaster_seed=7\ntx_power = 0.5\n",
+                 "methods = ES, OMP-DFT\nmaster_seed=7\ngain_var = 0.5\n",
                  encoding="utf-8")
     got = parse_config_file(p)
     assert got == {"n_trials": 25, "snr_db": (-10.0, 0.0, 10.0),
-                   "methods": ("ES", "OMP-DFT"), "master_seed": 7, "tx_power": 0.5}
+                   "methods": ("ES", "OMP-DFT"), "master_seed": 7, "gain_var": 0.5}
     cfg = ExperimentConfig(**got)
     cfg.validate()
 

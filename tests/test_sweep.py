@@ -103,14 +103,13 @@ def test_noiseless_aligned_measurement_closed_form():
     ch = ChannelRealization([path], gain_scale=np.sqrt(32 * 8), tx_geometry=bs, rx_geometry=ue)
     tx = raw_codebook(steering_vector(bs, path.aod)[None, :, None])
     rx = raw_codebook(steering_vector(ue, path.aoa)[None, :, None])
-    cfg = SweepConfig(n_tx_entries=1, n_rx_entries=1, n_rf_ue=1, n_pilots=4,
-                      tx_power=2.0, noise_var=0.0)
+    cfg = SweepConfig(n_tx_entries=1, n_rx_entries=1, n_rf_ue=1, n_pilots=4, noise_var=0.0)
     meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
-    # perfectly matched beams collapse to sqrt(power) * scale * gain per pilot
-    want_mag = np.sqrt(2.0) * ch.gain_scale * abs(path.gain)
+    # perfectly matched beams collapse to scale * gain per pilot
+    want_mag = ch.gain_scale * abs(path.gain)
     assert_allclose(np.abs(meas.y), np.full(4, want_mag), rtol=1e-12)
     k0 = cfg.pilots[0]
-    want = np.sqrt(2.0) * ch.gain_scale * path.gain * np.exp(
+    want = ch.gain_scale * path.gain * np.exp(
         -2j * np.pi * FS * path.delay * k0 / cfg.n_fft)
     assert_allclose(meas.y[0], want, rtol=1e-12)
 
@@ -224,14 +223,13 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     rng = np.random.default_rng(3)
     tx = random_codebook(16, 12, 1, 6, rng)
     rx = random_codebook(8, 2, 3, 6, rng)
-    cfg = SweepConfig(n_tx_entries=12, n_rx_entries=2, n_rf_ue=3, n_pilots=4,
-                      tx_power=1.7, noise_var=0.0)
+    cfg = SweepConfig(n_tx_entries=12, n_rx_entries=2, n_rf_ue=3, n_pilots=4, noise_var=0.0)
     meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
     h = np.zeros(op.shape[1], dtype=complex)
     for g, (bt, br) in zip(gains, bins):
         h[bt * op.n_rx_bins + br] += ch.gain_scale * g
-    want = np.sqrt(1.7) * op.apply(h)
+    want = op.apply(h)
     assert np.max(np.abs(meas.y - want)) < 1e-10 * np.max(np.abs(want))
 
 
