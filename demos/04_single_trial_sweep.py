@@ -24,26 +24,25 @@ tx_cb = dft_codebook(64, 64, 6)
 rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
 
 # +10 dB transmit SNR
-cfg = SweepConfig(n_tx_entries=64, n_rx_entries=2, n_rf_ue=4, n_pilots=10,
-                  noise_var=10.0 ** (-1.0))
+cfg = SweepConfig(n_pilots=10, noise_var=10.0 ** (-1.0))
 
 ch = sample_channel(ChannelParams(), bs, ue, rng)
 truth = true_pairs(ch, 64, 8)
 print("true pairs:", sorted(truth))
 
 # the noiseless sweep over the channel, then combined receiver noise
-meas = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, cfg, rng)
-print("measurement vector length:", meas.y.size)
+y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, cfg, rng)
+print("measurement shape (pilot, tx entry, rx entry, chain):", y.shape)
 
 # exhaustive search ranks (tx entry, combiner column) energies
-es = exhaustive_search(meas, n_pairs=len(truth))
+es = exhaustive_search(y, n_pairs=len(truth))
 print("ES estimates: ", list(es.estimated))
 
 # sparse recovery sees the same measurements through the sensing operator
 op = build_sensing_operator(tx_cb, rx_cb, build_grid(bs, 3), build_grid(ue, 3), cfg)
 print("operator shape:", op.shape)
 
-cs = cs_detect(op, meas, sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=len(truth))
+cs = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=len(truth))
 print("OMP estimates:", list(cs.estimated))
 print("OMP support bins:", cs.support)
 

@@ -13,8 +13,7 @@ from .experiment import (METHODS, ExperimentConfig, emit_csv, main,
                          parse_config_file, run_experiment)
 from .metrics import (GroupStats, TrialRecord, all_beam_match, detection_probability,
                       error_cdf, fraction_at_or_below, single_beam_match)
-from .sweep import (MeasurementSet, SensingOperator, SweepConfig, acquire,
-                    build_sensing_operator, load_measurements, save_measurements,
-                    sweep_signal, transmit_vectors)
+from .sweep import (SensingOperator, SweepConfig, acquire, build_sensing_operator,
+                    load_measurements, save_measurements, sweep_signal, transmit_vectors)
 
 __version__ = "0.1.0"

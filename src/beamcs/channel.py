@@ -19,13 +19,12 @@ ANGLE_RANGE = (-math.pi / 2, math.pi / 2)  # field of view of path angles
 class ChannelParams:
     n_clusters: int = 2
     n_rays: int = 3
-    gain_var: float = 1.0
     delay_max: float = 200e-9
     ray_angle_std: float = math.radians(2.0)
 
     def __post_init__(self):
         # written as `not (...)` so that NaN fails too
-        for name in ("n_clusters", "n_rays", "gain_var"):
+        for name in ("n_clusters", "n_rays"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError("%s must be positive and finite" % name)
@@ -68,12 +67,12 @@ def sample_channel(params: ChannelParams, tx_geometry: ArrayGeometry,
     Per cluster: mean AoD/AoA uniform over ANGLE_RANGE, one shared delay
     uniform on [0, delay_max]. Per ray: Laplace angle offsets with the
     requested standard deviation (scale = std/sqrt(2)) and a complex
-    normal gain of variance gain_var. Angles clip to the array's field of
+    normal gain of unit variance. Angles clip to the array's field of
     view rather than wrapping.
     """
     lo, hi = ANGLE_RANGE
     scale = params.ray_angle_std / math.sqrt(2.0)
-    sigma = math.sqrt(params.gain_var / 2.0)
+    sigma = math.sqrt(0.5)
     paths = []
     for c in range(params.n_clusters):
         mean_aod = rng.uniform(lo, hi)

@@ -118,10 +118,13 @@ class Codebook:
     """
 
     kind: str
-    n_ant: int
     phase_bits: int | None
     phase_indices: np.ndarray | None
     entries: np.ndarray
+
+    @property
+    def n_ant(self) -> int:
+        return self.entries.shape[1]
 
     @property
     def n_entries(self) -> int:
@@ -148,10 +151,10 @@ def _regroup(a: np.ndarray, n_cols: int) -> np.ndarray:
         a.transpose(1, 0, 2).reshape(a.shape[1], -1, n_cols).transpose(1, 0, 2))
 
 
-def _from_indices(kind: str, n_ant: int, phase_bits: int, idx: np.ndarray) -> Codebook:
+def _from_indices(kind: str, phase_bits: int, idx: np.ndarray) -> Codebook:
     idx = np.asarray(idx, dtype=np.int64)
-    entries = _phasor_table(phase_bits, n_ant)[idx]
-    return Codebook(kind, n_ant, phase_bits, idx, entries)
+    entries = _phasor_table(phase_bits, idx.shape[1])[idx]
+    return Codebook(kind, phase_bits, idx, entries)
 
 
 def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:
@@ -187,10 +190,10 @@ def dft_codebook(n_ant: int, n_beams: int, phase_bits: int | None = 6) -> Codebo
     if phase_bits is None:
         amp = math.sqrt(1.0 / n_ant)
         entries = amp * np.exp(2j * np.pi * np.outer(m, n) / n_ant)[:, :, None]
-        return Codebook(KIND_DFT, n_ant, None, None, entries)
+        return Codebook(KIND_DFT, None, None, entries)
     levels = 1 << phase_bits
     idx = _ratio_round_half_down(np.outer(m, n) % n_ant * levels, n_ant) % levels
-    return _from_indices(KIND_DFT, n_ant, phase_bits, idx[:, :, None])
+    return _from_indices(KIND_DFT, phase_bits, idx[:, :, None])
 
 
 def group_columns(cb: Codebook, n_cols: int) -> Codebook:
@@ -204,14 +207,14 @@ def group_columns(cb: Codebook, n_cols: int) -> Codebook:
     if total % n_cols:
         raise ValueError("total column count %d not divisible by %d" % (total, n_cols))
     idx = None if cb.phase_indices is None else _regroup(cb.phase_indices, n_cols)
-    return Codebook(cb.kind, cb.n_ant, cb.phase_bits, idx, _regroup(cb.entries, n_cols))
+    return Codebook(cb.kind, cb.phase_bits, idx, _regroup(cb.entries, n_cols))
 
 
 def random_codebook(n_ant: int, n_entries: int, n_cols: int, phase_bits: int,
                     rng: np.random.Generator) -> Codebook:
     """I.i.d. uniform phase indices in every position."""
     idx = rng.integers(0, 1 << phase_bits, size=(n_entries, n_ant, n_cols))
-    return _from_indices(KIND_RANDOM, n_ant, phase_bits, idx)
+    return _from_indices(KIND_RANDOM, phase_bits, idx)
 
 
 def _beam_angles(n_ant: int, n_entries: int) -> np.ndarray:
@@ -251,7 +254,7 @@ def multi_beam_dft_codebook(n_ant: int, n_entries: int = 64,
         raise ValueError("n_ant must be a multiple of n_entries")
     rotations = np.zeros((n_entries, n_ant // n_entries), dtype=np.int64)
     idx = _combined_indices(_beam_angles(n_ant, n_entries), rotations, phase_bits)
-    return _from_indices(KIND_MULTI_BEAM, n_ant, phase_bits, idx)
+    return _from_indices(KIND_MULTI_BEAM, phase_bits, idx)
 
 
 def _coherence_of_effective(eff: np.ndarray) -> float:
@@ -297,7 +300,7 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
     rotations = np.zeros((n_entries, beams_per), dtype=np.int64)
     beam_angles = _beam_angles(n_ant, n_entries)
     idx = _combined_indices(beam_angles, rotations, phase_bits)
-    start = _from_indices(KIND_DESIGNED, n_ant, phase_bits, idx)
+    start = _from_indices(KIND_DESIGNED, phase_bits, idx)
     if beams_per == 1:
         return start
 
@@ -326,7 +329,7 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
                 else:
                     rotations[m, j] = old
                     eff[m] = old_row
-    return _from_indices(KIND_DESIGNED, n_ant, phase_bits, idx)
+    return _from_indices(KIND_DESIGNED, phase_bits, idx)
 
 
 def save_codebook(cb: Codebook, path) -> None:
@@ -348,6 +351,11 @@ def load_codebook(path) -> Codebook:
     if len(head) != 5:
         raise ValueError("malformed codebook header")
     n_ant, n_entries, n_cols, phase_bits = (int(v) for v in head[:4])
+    for name, v in (("n_ant", n_ant), ("n_entries", n_entries), ("n_cols", n_cols)):
+        if v < 1:
+            raise ValueError("codebook header: %s must be positive" % name)
+    if not 1 <= phase_bits <= 16:  # the phase table holds 2**phase_bits entries
+        raise ValueError("codebook header: phase_bits must lie in [1, 16]")
     kind = head[4]
     if kind not in KINDS:
         raise ValueError("unknown codebook kind %r" % kind)
@@ -362,4 +370,4 @@ def load_codebook(path) -> Codebook:
             if row.size != n_ant or row.min() < 0 or row.max() >= levels:
                 raise ValueError("bad index line for entry %d column %d" % (m, c))
             idx[m, :, c] = row
-    return _from_indices(kind, n_ant, phase_bits, idx)
+    return _from_indices(kind, phase_bits, idx)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arrays import beam_sin_values
 from .channel import ChannelRealization
-from .sweep import MeasurementSet, SensingOperator
+from .sweep import SensingOperator
 
 
 class BeamPair(NamedTuple):
@@ -67,17 +67,17 @@ def true_pairs(ch: ChannelRealization, n_tx_beams: int, n_rx_beams: int) -> froz
     return frozenset(pairs)
 
 
-def exhaustive_search(meas: MeasurementSet, n_pairs: int) -> DetectionOutcome:
-    """Top pairs by pilot-summed energy.
+def exhaustive_search(y: np.ndarray, n_pairs: int) -> DetectionOutcome:
+    """Top pairs by pilot-summed energy of a (pilot, tx entry, rx entry,
+    chain) measurement.
 
     Every combiner column counts as a distinct rx beam, so the pair grid
-    is n_tx_entries x (n_rx_entries * n_rf_ue). Ties break toward the
+    is tx entries x (rx entries * chains). Ties break toward the
     lower tx index, then the lower rx index.
     """
-    cfg = meas.config
-    n_rxb = cfg.n_rx_entries * cfg.n_rf_ue
+    n_rxb = y.shape[2] * y.shape[3]
     # per pilot, y runs over tx entry, rx entry, chain: flat index tx * n_rxb + rx
-    metric = (np.abs(meas.y.reshape(cfg.n_pilots, -1)) ** 2).sum(axis=0)
+    metric = (np.abs(y.reshape(y.shape[0], -1)) ** 2).sum(axis=0)
     if not 1 <= n_pairs <= metric.size:
         raise ValueError("n_pairs must lie in [1, %d]" % metric.size)
     # a stable sort keeps equal energies in flat, i.e. (tx, rx), order
@@ -155,11 +155,11 @@ def _bin_to_beam(g_bin: int, n_bins: int, n_beams: int) -> int:
     return int(math.floor(g_bin * n_beams / n_bins + 0.5)) % n_beams
 
 
-def cs_detect(op: SensingOperator, meas: MeasurementSet, sparsity: int, n_tx_beams: int,
+def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int,
               n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
     """Sparse-recovery detector.
 
-    Runs omp on the stacked measurements, splits each support bin g into
+    Runs omp on the flattened measurement y, splits each support bin g into
     (g // n_rx_bins, g % n_rx_bins), rounds bins to beams, and returns the
     first n_pairs distinct pairs by coefficient magnitude. If
     deduplication leaves fewer, pairs are appended from the largest
@@ -169,7 +169,7 @@ def cs_detect(op: SensingOperator, meas: MeasurementSet, sparsity: int, n_tx_bea
         raise ValueError("grid sizes must be multiples of the beam counts")
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    result = omp(op, meas.y, sparsity)
+    result = omp(op, y.reshape(-1), sparsity)
 
     def to_pair(g: int) -> BeamPair:
         gt, gr = divmod(int(g), op.n_rx_bins)

@@ -66,7 +66,6 @@ class ExperimentConfig:
     n_rays: int = 3
     delay_max: float = 200e-9
     ray_angle_std: float = math.radians(2.0)
-    gain_var: float = 1.0
     sparsity: int = 0  # 0 means n_clusters * n_rays
     snr_db: tuple = tuple(float(v) for v in range(-30, 35, 5))
     n_trials: int = 500
@@ -145,9 +144,8 @@ class ExperimentConfig:
             raise ValueError("master_seed must be non-negative")
 
     def sweep_config(self, snr_db: float) -> SweepConfig:
-        return SweepConfig(n_tx_entries=self.n_tx_entries, n_rx_entries=self.n_rx_entries,
-                           n_rf_ue=self.n_rf_ue, n_pilots=self.n_pilots, n_fft=self.n_fft,
-                           sample_rate=self.sample_rate, noise_var=10.0 ** (-snr_db / 10.0))
+        return SweepConfig(n_pilots=self.n_pilots, n_fft=self.n_fft, sample_rate=self.sample_rate,
+                           noise_var=10.0 ** (-snr_db / 10.0))
 
 
 def _seed(master: int, *parts: int) -> np.random.SeedSequence:
@@ -213,11 +211,11 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
             scfg = cfg.sweep_config(snr)
             noise_rng = np.random.default_rng(
                 _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), mid))
-            meas = acquire(signal, rx_cb, scfg, noise_rng)
+            y = acquire(signal, rx_cb, scfg, noise_rng)
             if method == METHOD_ES:
-                out = exhaustive_search(meas, n_pairs)
+                out = exhaustive_search(y, n_pairs)
             else:
-                out = cs_detect(op, meas, cfg.effective_sparsity,
+                out = cs_detect(op, y, cfg.effective_sparsity,
                                 cfg.n_tx_beams, cfg.n_rx_beams, n_pairs)
             tx_err, rx_err = beam_index_errors(out.estimated, truth,
                                                cfg.n_tx_beams, cfg.n_rx_beams)

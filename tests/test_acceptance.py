@@ -90,8 +90,7 @@ def strongest_positions(default_run):
     """
     cfg, _, _ = default_run
     params = ChannelParams(n_clusters=cfg.n_clusters, n_rays=cfg.n_rays,
-                           gain_var=cfg.gain_var, delay_max=cfg.delay_max,
-                           ray_angle_std=cfg.ray_angle_std)
+                           delay_max=cfg.delay_max, ray_angle_std=cfg.ray_angle_std)
     bs, ue = ArrayGeometry(cfg.n_ant_bs), ArrayGeometry(cfg.n_ant_ue)
     positions = {}
     for t in range(cfg.n_trials):
@@ -225,8 +224,7 @@ def test_criterion_6b_operator_matches_dense():
     worst = 0.0
     for trial in range(5):
         n_bs = int(rng.choice([8, 12, 16]))
-        cfg = SweepConfig(n_tx_entries=n_bs, n_rx_entries=2, n_rf_ue=2, n_pilots=3,
-                          noise_var=0.5)
+        cfg = SweepConfig(n_pilots=3, noise_var=0.5)
         tx_cb = dft_codebook(n_bs, n_bs, 6)
         rx_cb = group_columns(dft_codebook(4, 4, 6), 2)
         op = build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(n_bs), 3),
@@ -266,8 +264,7 @@ def test_criterion_6c_omp_equals_brute_force_l0():
 
 
 def test_criterion_6d_combined_noise_covariance():
-    cfg = SweepConfig(n_tx_entries=1, n_rx_entries=2, n_rf_ue=4, n_pilots=1,
-                      noise_var=0.7)
+    cfg = SweepConfig(n_pilots=1, noise_var=0.7)
     tx_cb = dft_codebook(8, 1, 6)
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
     silent = ChannelRealization([PathComponent(0.0 + 0.0j, 0.0, 0.1, -0.2, 0, 0)],
@@ -277,7 +274,8 @@ def test_criterion_6d_combined_noise_covariance():
     rng = np.random.default_rng(64)
     draws = np.empty((10_000, 8), dtype=complex)
     for i in range(draws.shape[0]):
-        draws[i] = acquire(sweep_signal(silent, tx_cb, rx_cb, cfg), rx_cb, cfg, rng).y
+        draws[i] = acquire(sweep_signal(silent, tx_cb, rx_cb, cfg), rx_cb, cfg,
+                           rng).reshape(-1)
     got = draws.conj().T @ draws / draws.shape[0]
     rel = np.linalg.norm(got - want.T) / np.linalg.norm(want)
     print("criterion 6d: covariance relative Frobenius error %.3f over 10^4 draws "
@@ -288,8 +286,7 @@ def test_criterion_6d_combined_noise_covariance():
 def test_criterion_7_noiseless_on_grid_end_to_end():
     tx_cb = dft_codebook(64, 64, 6)
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
-    cfg = SweepConfig(n_tx_entries=64, n_rx_entries=2, n_rf_ue=4, n_pilots=10,
-                      noise_var=0.0)
+    cfg = SweepConfig(n_pilots=10, noise_var=0.0)
     op = build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(64), 3),
                                 build_grid(ArrayGeometry(8), 3), cfg)
     tx_sins, rx_sins = beam_sin_values(64), beam_sin_values(8)
@@ -304,9 +301,9 @@ def test_criterion_7_noiseless_on_grid_end_to_end():
                                 ArrayGeometry(8))
         truth = true_pairs(ch, 64, 8)
         assert truth == {BeamPair(bt, br)}
-        meas = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, cfg, np.random.default_rng(t))
-        hits_cs += set(cs_detect(op, meas, 1, 64, 8, 1).estimated) == truth
-        hits_es += set(exhaustive_search(meas, 1).estimated) == truth
+        y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, cfg, np.random.default_rng(t))
+        hits_cs += set(cs_detect(op, y, 1, 64, 8, 1).estimated) == truth
+        hits_es += set(exhaustive_search(y, 1).estimated) == truth
     print("criterion 7: noiseless on-grid p_all OMP-DFT %d/100, ES %d/100 (need 100)"
           % (hits_cs, hits_es))
     assert hits_cs == 100

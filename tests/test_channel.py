@@ -124,4 +124,4 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(n_clusters=0)
     with pytest.raises(ValueError):
-        ChannelParams(gain_var=0.0)
+        ChannelParams(n_rays=0)

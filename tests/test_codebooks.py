@@ -239,3 +239,13 @@ def test_serialization_rejects_unquantized_and_garbage(tmp_path):
     bad.write_text("8 1 1 6 DFT\n0 0 0 0 0 0 0 99\n")
     with pytest.raises(ValueError):
         load_codebook(bad)
+    # headers that loaded an empty or degenerate codebook, or failed with an
+    # error naming no field
+    line = "0 0 0 0 0 0 0 0\n"
+    for text, field in (("8 0 1 6 DFT\n", "n_entries"), ("8 1 0 6 DFT\n", "n_cols"),
+                        ("0 1 1 6 DFT\n" + line, "n_ant"), ("8 1 1 0 DFT\n" + line, "phase_bits"),
+                        ("8 1 1 -1 DFT\n" + line, "phase_bits"),
+                        ("8 1 1 17 DFT\n" + line, "phase_bits")):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=field):
+            load_codebook(bad)

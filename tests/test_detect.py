@@ -11,8 +11,7 @@ from beamcs.codebooks import dft_codebook, group_columns, random_codebook
 from beamcs.detect import (BeamPair, beam_index_errors, beam_sin_values, cs_detect,
                            exhaustive_search, omp, signed_circular_diff, true_pairs)
 from beamcs.metrics import single_beam_match
-from beamcs.sweep import (MeasurementSet, SweepConfig, acquire, build_sensing_operator,
-                          sweep_signal)
+from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
 
 
 def make_channel(paths, n_bs=64, n_ue=8):
@@ -69,9 +68,8 @@ def test_true_pairs_wraps_at_sin_seam():
     assert true_pairs(ch, 64, 8) == {BeamPair(31, 3)}
 
 
-def default_sweep(noise_var, n_tx=64):
-    return SweepConfig(n_tx_entries=n_tx, n_rx_entries=2, n_rf_ue=4, n_pilots=10,
-                       noise_var=noise_var)
+def default_sweep(noise_var):
+    return SweepConfig(n_pilots=10, noise_var=noise_var)
 
 
 def dft_pair_codebooks(n_tx=64, n_ue=8):
@@ -81,9 +79,9 @@ def dft_pair_codebooks(n_tx=64, n_ue=8):
 def test_exhaustive_search_finds_aligned_path():
     ch = make_channel([on_beam_path(23, 5)])
     tx, rx = dft_pair_codebooks()
-    meas = acquire(sweep_signal(ch, tx, rx, default_sweep(0.0)), rx, default_sweep(0.0),
+    y = acquire(sweep_signal(ch, tx, rx, default_sweep(0.0)), rx, default_sweep(0.0),
                    np.random.default_rng(0))
-    out = exhaustive_search(meas, 1)
+    out = exhaustive_search(y, 1)
     assert out.estimated == (BeamPair(23, 5),)
 
 
@@ -91,10 +89,10 @@ def test_exhaustive_search_matches_brute_force_ranking():
     ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                         np.random.default_rng(21))
     tx, rx = dft_pair_codebooks()
-    meas = acquire(sweep_signal(ch, tx, rx, default_sweep(0.5)), rx, default_sweep(0.5),
+    y = acquire(sweep_signal(ch, tx, rx, default_sweep(0.5)), rx, default_sweep(0.5),
                    np.random.default_rng(22))
     n_pairs = 5
-    out = exhaustive_search(meas, n_pairs)
+    out = exhaustive_search(y, n_pairs)
     # independent route: accumulate energies straight from the stacked vector
     metric = {}
     n_rxb = 8
@@ -104,18 +102,17 @@ def test_exhaustive_search_matches_brute_force_ranking():
                 for r in range(4):
                     flat = k * 128 * 4 + (i * 2 + j) * 4 + r
                     key = (i, j * 4 + r)
-                    metric[key] = metric.get(key, 0.0) + abs(meas.y[flat]) ** 2
+                    metric[key] = metric.get(key, 0.0) + abs(y.reshape(-1)[flat]) ** 2
     want = sorted(metric, key=lambda p: (-metric[p], p[0], p[1]))[:n_pairs]
     assert [tuple(p) for p in out.estimated] == want
 
 
 def test_exhaustive_search_tie_break_prefers_low_indices():
-    meas = MeasurementSet(np.ones(24, dtype=complex),
-                          SweepConfig(n_tx_entries=4, n_rx_entries=1, n_rf_ue=2, n_pilots=3))
-    out = exhaustive_search(meas, 3)
+    y = np.ones((3, 4, 1, 2), dtype=complex)  # pilot, tx entry, rx entry, chain
+    out = exhaustive_search(y, 3)
     assert out.estimated == (BeamPair(0, 0), BeamPair(0, 1), BeamPair(1, 0))
     with pytest.raises(ValueError):
-        exhaustive_search(meas, 9)
+        exhaustive_search(y, 9)
 
 
 def test_omp_recovers_single_column():
@@ -185,7 +182,7 @@ def test_omp_rejects_bad_sparsity():
 
 def cs_setup(multiplier, noise_var=0.0, n_tx=64, n_ue=8, seed=7):
     tx, rx = dft_pair_codebooks(n_tx, n_ue)
-    cfg = default_sweep(noise_var, n_tx)
+    cfg = default_sweep(noise_var)
     tx_grid = build_grid(ArrayGeometry(n_tx), multiplier)
     rx_grid = build_grid(ArrayGeometry(n_ue), multiplier)
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
@@ -196,8 +193,8 @@ def test_cs_detect_on_grid_single_path():
     for mult in (1, 3):
         tx, rx, cfg, op = cs_setup(mult)
         ch = make_channel([on_beam_path(37, 2)])
-        meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
-        out = cs_detect(op, meas, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
+        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+        out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
         assert out.estimated == (BeamPair(37, 2),)
         assert not out.ridge_flagged
 
@@ -205,8 +202,8 @@ def test_cs_detect_on_grid_single_path():
 def test_cs_detect_support_bin_arithmetic():
     tx, rx, cfg, op = cs_setup(3)
     ch = make_channel([on_beam_path(10, 6)])
-    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
-    out = cs_detect(op, meas, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
     g = out.support[0]
     # bin splits as (tx_bin, rx_bin) with the rx grid minor
     assert (g // op.n_rx_bins, g % op.n_rx_bins) == (10 * 3, 6 * 3)
@@ -215,8 +212,8 @@ def test_cs_detect_support_bin_arithmetic():
 def test_cs_detect_pads_when_dedup_runs_short():
     tx, rx, cfg, op = cs_setup(1)
     ch = make_channel([on_beam_path(20, 4)])
-    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
-    out = cs_detect(op, meas, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
     assert len(out.estimated) == 2
     assert out.estimated[0] == BeamPair(20, 4)
     assert out.estimated[1] != out.estimated[0]
@@ -225,8 +222,8 @@ def test_cs_detect_pads_when_dedup_runs_short():
 def test_cs_detect_two_separated_paths():
     tx, rx, cfg, op = cs_setup(3)
     ch = make_channel([on_beam_path(8, 1, gain=2.0), on_beam_path(50, 6, gain=1.0)])
-    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
-    out = cs_detect(op, meas, sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    out = cs_detect(op, y, sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
     assert set(out.estimated) == {BeamPair(8, 1), BeamPair(50, 6)}
     # stronger path carries the larger coefficient, so it ranks first
     assert out.estimated[0] == BeamPair(8, 1)
@@ -234,17 +231,16 @@ def test_cs_detect_two_separated_paths():
 
 def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
     tx, rx, cfg, op = cs_setup(3)
-    cfg_noisy = SweepConfig(n_tx_entries=64, n_rx_entries=2, n_rf_ue=4, n_pilots=10,
-                            noise_var=10.0 ** (-3.0))  # +30 dB transmit SNR
+    cfg_noisy = SweepConfig(n_pilots=10, noise_var=10.0 ** (-3.0))  # +30 dB transmit SNR
     hits = 0
     n = 500
     for t in range(n):
         ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                             np.random.default_rng(10_000 + t))
         truth = true_pairs(ch, 64, 8)
-        meas = acquire(sweep_signal(ch, tx, rx, cfg_noisy), rx, cfg_noisy,
+        y = acquire(sweep_signal(ch, tx, rx, cfg_noisy), rx, cfg_noisy,
                        np.random.default_rng(20_000 + t))
-        out = cs_detect(op, meas, sparsity=6, n_tx_beams=64, n_rx_beams=8,
+        out = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8,
                         n_pairs=len(truth))
         hits += single_beam_match(out.estimated, truth)
     assert hits / n >= 0.99

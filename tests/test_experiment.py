@@ -68,14 +68,12 @@ def test_validate_rejects_bad_configs():
     # the channel fields, each otherwise caught only in the first trial
     for bad, message in ((dict(n_clusters=0, sparsity=6), "n_clusters must be positive"),
                          (dict(n_rays=0, sparsity=6), "n_rays must be positive"),
-                         (dict(gain_var=0.0), "gain_var must be positive"),
                          (dict(delay_max=-1e-9), "delay_max must be non-negative"),
                          (dict(ray_angle_std=-0.01), "ray_angle_std must be non-negative")):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**bad).validate()
     # NaN passed the `<= 0` and `< 0` tests, inf passed every test
-    for name, kind in (("gain_var", "positive"), ("delay_max", "non-negative"),
-                       ("ray_angle_std", "non-negative")):
+    for name, kind in (("delay_max", "non-negative"), ("ray_angle_std", "non-negative")):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="%s must be %s and finite" % (name, kind)):
                 ExperimentConfig(**{name: value}).validate()
@@ -158,11 +156,11 @@ def test_parse_snr_range():
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("# comment\n\nn_trials = 25\nsnr_db = -10:10:10\n"
-                 "methods = ES, OMP-DFT\nmaster_seed=7\ngain_var = 0.5\n",
+                 "methods = ES, OMP-DFT\nmaster_seed=7\ndelay_max = 1e-7\n",
                  encoding="utf-8")
     got = parse_config_file(p)
     assert got == {"n_trials": 25, "snr_db": (-10.0, 0.0, 10.0),
-                   "methods": ("ES", "OMP-DFT"), "master_seed": 7, "gain_var": 0.5}
+                   "methods": ("ES", "OMP-DFT"), "master_seed": 7, "delay_max": 1e-7}
     cfg = ExperimentConfig(**got)
     cfg.validate()
 

@@ -160,7 +160,7 @@ def test_save_load_round_trip_exact(tmp_path_factory, n_ant, n_entries, n_cols, 
     with index_valued_entries():
         drawn = random_codebook(n_ant, n_entries, n_cols, phase_bits,
                                 np.random.default_rng(seed))
-        cb = Codebook(kind, n_ant, phase_bits, drawn.phase_indices, drawn.entries)
+        cb = Codebook(kind, phase_bits, drawn.phase_indices, drawn.entries)
         save_codebook(cb, path)
         back = load_codebook(path)
     assert (back.kind, back.n_ant, back.phase_bits) == (kind, n_ant, phase_bits)
@@ -170,7 +170,7 @@ def test_save_load_round_trip_exact(tmp_path_factory, n_ant, n_entries, n_cols, 
 
 def _raw_codebook(rng, n_entries, n_ant, n_cols):
     entries = rng.standard_normal((n_entries, n_ant, n_cols, 2)) @ np.array([1.0, 1j])
-    return Codebook(codebooks.KIND_RANDOM, n_ant, None, None, entries)
+    return Codebook(codebooks.KIND_RANDOM, None, None, entries)
 
 
 @PROPS
@@ -180,8 +180,7 @@ def _raw_codebook(rng, n_entries, n_ant, n_cols):
 def test_operator_adjoint_identity(n_tx, n_rx, n_tx_entries, n_rx_entries, n_rf, n_pilots,
                                    tx_mult, rx_mult, seed):
     rng = np.random.default_rng(seed)
-    cfg = SweepConfig(n_tx_entries=n_tx_entries, n_rx_entries=n_rx_entries, n_rf_ue=n_rf,
-                      n_pilots=n_pilots)
+    cfg = SweepConfig(n_pilots=n_pilots)
     op = build_sensing_operator(_raw_codebook(rng, n_tx_entries, n_tx, 1),
                                 _raw_codebook(rng, n_rx_entries, n_rx, n_rf),
                                 build_grid(ArrayGeometry(n_tx), tx_mult),

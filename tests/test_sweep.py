@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,9 +8,8 @@ from beamcs.arrays import ArrayGeometry, build_grid, steering_vector
 from beamcs.channel import (ChannelRealization, PathComponent, sample_channel, ChannelParams,
                             freq_channel)
 from beamcs.codebooks import Codebook, dft_codebook, group_columns, random_codebook
-from beamcs.sweep import (MeasurementSet, SweepConfig, acquire, build_sensing_operator,
-                          load_measurements, save_measurements, sweep_signal,
-                          transmit_vectors)
+from beamcs.sweep import (SweepConfig, acquire, build_sensing_operator, load_measurements,
+                          save_measurements, sweep_signal, transmit_vectors)
 
 FS = 491.52e6
 
@@ -16,12 +17,11 @@ FS = 491.52e6
 def raw_codebook(entries):
     """Unquantized test codebook from explicit entry matrices."""
     entries = np.asarray(entries, dtype=complex)
-    return Codebook("DFT", entries.shape[1], None, None, entries)
+    return Codebook("DFT", None, None, entries)
 
 
 def default_cfg(**kw):
-    base = dict(n_tx_entries=64, n_rx_entries=2, n_rf_ue=4, n_pilots=10,
-                n_fft=4096, sample_rate=FS, noise_var=0.1)
+    base = dict(n_pilots=10, n_fft=4096, sample_rate=FS, noise_var=0.1)
     base.update(kw)
     return SweepConfig(**base)
 
@@ -34,8 +34,7 @@ def test_default_pilots_are_centered():
 def test_transmit_vectors_unit_norm_and_equal_gain():
     rng = np.random.default_rng(0)
     cb = random_codebook(16, 4, 2, 6, rng)
-    cfg = SweepConfig(n_tx_entries=4, n_rx_entries=1, n_rf_ue=1, n_pilots=1)
-    x = transmit_vectors(cb, cfg)
+    x = transmit_vectors(cb)
     assert x.shape == (16, 4)
     assert_allclose(np.linalg.norm(x, axis=0), np.ones(4), atol=1e-12)
     want = cb.entry(0) @ (np.ones(2) / np.sqrt(2))
@@ -48,18 +47,19 @@ def test_measurement_vector_length_and_energy_layout():
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     cfg = default_cfg()
-    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(2))
-    assert meas.y.shape == (4 * 128 * 10,)
-    # stacking order: pilot-major, then block m = i*n_rx_entries + j, then chain
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(2))
+    assert y.shape == (10, 64, 2, 4)  # pilot, tx entry, rx entry, chain
+    assert y.flags.c_contiguous
+    # flat order: pilot-major, then block m = i*n_rx_entries + j, then chain
     quiet = acquire(sweep_signal(ch, tx, rx, default_cfg(noise_var=0.0)), rx,
                     default_cfg(noise_var=0.0), np.random.default_rng(2))
-    x = transmit_vectors(tx, cfg)
+    x = transmit_vectors(tx)
     w = np.concatenate([rx.entry(j) for j in range(2)], axis=1)
     h = freq_channel(ch, cfg.pilots, FS, 4096)
     for (i, j, r, k) in [(0, 0, 0, 0), (5, 1, 2, 3), (63, 1, 3, 9), (17, 0, 1, 7)]:
         flat = k * 128 * 4 + (i * 2 + j) * 4 + r
         want = w[:, j * 4 + r].conj() @ h[k] @ x[:, i]
-        assert abs(quiet.y[flat] - want) < 1e-12 * (1.0 + abs(want))
+        assert abs(quiet.reshape(-1)[flat] - want) < 1e-12 * (1.0 + abs(want))
 
 
 def default_sweep_inputs():
@@ -80,16 +80,14 @@ def test_acquire_without_noise_returns_the_signal():
     ch, tx, rx = default_sweep_inputs()
     cfg = default_cfg(noise_var=0.0)
     signal = sweep_signal(ch, tx, rx, cfg)
-    meas = acquire(signal, rx, cfg, np.random.default_rng(3))
-    assert np.array_equal(meas.y, signal.reshape(-1))
+    y = acquire(signal, rx, cfg, np.random.default_rng(3))
+    assert np.array_equal(y, signal)
 
 
 def test_acquire_rejects_mismatched_signal_and_combiner():
     ch, tx, rx = default_sweep_inputs()
     cfg = default_cfg()
     signal = sweep_signal(ch, tx, rx, cfg)
-    with pytest.raises(ValueError, match="signal shape"):
-        acquire(signal[:, :32], rx, cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="signal shape"):
         acquire(signal, rx, default_cfg(n_pilots=5), np.random.default_rng(0))
     with pytest.raises(ValueError, match="rx codebook shape"):
@@ -103,15 +101,15 @@ def test_noiseless_aligned_measurement_closed_form():
     ch = ChannelRealization([path], gain_scale=np.sqrt(32 * 8), tx_geometry=bs, rx_geometry=ue)
     tx = raw_codebook(steering_vector(bs, path.aod)[None, :, None])
     rx = raw_codebook(steering_vector(ue, path.aoa)[None, :, None])
-    cfg = SweepConfig(n_tx_entries=1, n_rx_entries=1, n_rf_ue=1, n_pilots=4, noise_var=0.0)
-    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    cfg = SweepConfig(n_pilots=4, noise_var=0.0)
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
     # perfectly matched beams collapse to scale * gain per pilot
     want_mag = ch.gain_scale * abs(path.gain)
-    assert_allclose(np.abs(meas.y), np.full(4, want_mag), rtol=1e-12)
+    assert_allclose(np.abs(y.reshape(-1)), np.full(4, want_mag), rtol=1e-12)
     k0 = cfg.pilots[0]
     want = ch.gain_scale * path.gain * np.exp(
         -2j * np.pi * FS * path.delay * k0 / cfg.n_fft)
-    assert_allclose(meas.y[0], want, rtol=1e-12)
+    assert_allclose(y[0, 0, 0, 0], want, rtol=1e-12)
 
 
 def test_combined_noise_covariance_is_shaped_by_combiner():
@@ -123,12 +121,11 @@ def test_combined_noise_covariance_is_shaped_by_combiner():
     rx = random_codebook(8, 1, 4, 6, rng)
     tx = random_codebook(4, 200, 1, 6, rng)
     noise_var = 0.37
-    cfg = SweepConfig(n_tx_entries=200, n_rx_entries=1, n_rf_ue=4, n_pilots=2,
-                      noise_var=noise_var)
+    cfg = SweepConfig(n_pilots=2, noise_var=noise_var)
     draws = []
     for rep in range(10):
-        meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(100 + rep))
-        y = meas.y.reshape(2, 200, 4)            # pilot, block, chain
+        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(100 + rep))
+        y = y.reshape(2, 200, 4)                 # pilot, block, chain
         draws.append(y.transpose(1, 0, 2).reshape(200, 8))
     samples = np.concatenate(draws, axis=0)      # (2000, pilots*chains)
     emp = samples[:, :, None] * samples[:, None, :].conj()
@@ -151,7 +148,7 @@ def small_operator(seed=4):
     rng = np.random.default_rng(seed)
     tx = random_codebook(16, 8, 1, 6, rng)
     rx = random_codebook(4, 2, 2, 6, rng)
-    cfg = SweepConfig(n_tx_entries=8, n_rx_entries=2, n_rf_ue=2, n_pilots=3)
+    cfg = SweepConfig(n_pilots=3)
     op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(16), 2),
                                 build_grid(ArrayGeometry(4), 2), cfg)
     return op
@@ -200,7 +197,7 @@ def test_operator_reduces_to_grid_kronecker_for_identity_beams():
     n_tx, n_rx = 8, 4
     tx = raw_codebook(np.stack([np.eye(n_tx)[:, [i]] for i in range(n_tx)]))
     rx = raw_codebook(np.eye(n_rx)[None])
-    cfg = SweepConfig(n_tx_entries=n_tx, n_rx_entries=1, n_rf_ue=n_rx, n_pilots=1)
+    cfg = SweepConfig(n_pilots=1)
     tx_grid = build_grid(ArrayGeometry(n_tx), 2)
     rx_grid = build_grid(ArrayGeometry(n_rx), 2)
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
@@ -223,14 +220,14 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     rng = np.random.default_rng(3)
     tx = random_codebook(16, 12, 1, 6, rng)
     rx = random_codebook(8, 2, 3, 6, rng)
-    cfg = SweepConfig(n_tx_entries=12, n_rx_entries=2, n_rf_ue=3, n_pilots=4, noise_var=0.0)
-    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    cfg = SweepConfig(n_pilots=4, noise_var=0.0)
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
     h = np.zeros(op.shape[1], dtype=complex)
     for g, (bt, br) in zip(gains, bins):
         h[bt * op.n_rx_bins + br] += ch.gain_scale * g
     want = op.apply(h)
-    assert np.max(np.abs(meas.y - want)) < 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(y.reshape(-1) - want)) < 1e-10 * np.max(np.abs(want))
 
 
 def test_measurement_dump_round_trip(tmp_path):
@@ -240,20 +237,27 @@ def test_measurement_dump_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     tx = random_codebook(8, 4, 1, 6, rng)
     rx = random_codebook(4, 2, 2, 6, rng)
-    cfg = SweepConfig(n_tx_entries=4, n_rx_entries=2, n_rf_ue=2, n_pilots=3,
-                      noise_var=0.2)
-    meas = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(14))
+    cfg = SweepConfig(n_pilots=3, noise_var=0.2)
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(14))
     path = tmp_path / "sweep.bin"
-    save_measurements(meas, path)
-    y, sidecar = load_measurements(path)
-    assert np.array_equal(y, meas.y)
+    save_measurements(y, cfg, path)
+    loaded, sidecar = load_measurements(path)
+    assert loaded.shape == (3, 4, 2, 2)
+    assert np.array_equal(loaded, y)
+    assert sidecar["shape"] == [3, 4, 2, 2]
     assert sidecar["config"]["n_pilots"] == 3
     assert sidecar["config"]["noise_var"] == 0.2
     assert sidecar["dtype"] == "<c16"
+    # a sidecar written before the shape was recorded loads flat
+    side = path.with_suffix(".bin.json")
+    del sidecar["shape"]
+    side.write_text(json.dumps(sidecar), encoding="utf-8")
+    flat, _ = load_measurements(path)
+    assert np.array_equal(flat, y.reshape(-1))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SweepConfig(n_tx_entries=0)
+        SweepConfig(n_pilots=0)
     with pytest.raises(ValueError):
         SweepConfig(noise_var=-1.0)
