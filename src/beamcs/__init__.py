@@ -4,16 +4,16 @@ from .arrays import ArrayGeometry, GridDictionary, build_grid, steering_vector
 from .channel import (ChannelParams, ChannelRealization, PathComponent,
                       factorized_channel, freq_channel, sample_channel)
 from .codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
-                        load_codebook, multi_beam_dft_codebook, quantize_phases,
-                        random_codebook, save_codebook, total_coherence)
+                        load_codebook, multi_beam_dft_codebook, random_codebook,
+                        save_codebook, total_coherence)
 from .detect import (BeamPair, DetectionOutcome, OmpResult, beam_index_errors,
                      beam_sin_values, cs_detect, exhaustive_search, omp,
                      signed_circular_diff, true_pairs)
 from .experiment import (METHODS, ExperimentConfig, emit_csv, main,
                          parse_config_file, run_experiment)
 from .metrics import (GroupStats, TrialRecord, all_beam_match, detection_probability,
-                      error_cdf, fraction_at_or_below, single_beam_match)
+                      single_beam_match)
 from .sweep import (SensingOperator, SweepConfig, acquire, build_sensing_operator,
-                    load_measurements, save_measurements, sweep_signal, transmit_vectors)
+                    sweep_signal, transmit_vectors)
 
 __version__ = "0.1.0"

@@ -36,7 +36,6 @@ class GridDictionary:
     """Array responses sampled on a uniform sin-domain grid, DFT bin order."""
 
     geometry: ArrayGeometry
-    multiplier: int
     n_bins: int
     sin_grid: np.ndarray
     atoms: np.ndarray  # (n_ant, n_bins), unit-norm columns
@@ -54,4 +53,4 @@ def build_grid(geometry: ArrayGeometry, multiplier: int) -> GridDictionary:
     sin_grid = beam_sin_values(g)
     n = np.arange(geometry.n_ant)[:, None]
     atoms = np.exp(1j * np.pi * n * sin_grid[None, :]) / np.sqrt(geometry.n_ant)
-    return GridDictionary(geometry, multiplier, g, sin_grid, atoms)
+    return GridDictionary(geometry, g, sin_grid, atoms)

@@ -1,6 +1,6 @@
 """Phase-shifter codebooks for analog beamforming.
 
-All quantized codebooks share one representation: every matrix entry is
+All codebooks share one representation: every matrix entry is
 amp * exp(2j*pi*n / 2**phase_bits) with amp = sqrt(1/n_ant) and n an
 integer phase index. Indices are the authoritative stored form; complex
 entries are materialized from a per-(phase_bits, n_ant) table. That keeps
@@ -113,13 +113,12 @@ class Codebook:
     """Sequence of beamforming matrices, one per sweep slot.
 
     entries has shape (n_entries, n_ant, n_cols). phase_indices mirrors it
-    with integer quantizer indices and is None only for the unquantized
-    test mode (phase_bits None).
+    with the integer quantizer indices the entries are built from.
     """
 
     kind: str
-    phase_bits: int | None
-    phase_indices: np.ndarray | None
+    phase_bits: int
+    phase_indices: np.ndarray
     entries: np.ndarray
 
     @property
@@ -133,9 +132,6 @@ class Codebook:
     @property
     def n_cols(self) -> int:
         return self.entries.shape[2]
-
-    def entry(self, m: int) -> np.ndarray:
-        return self.entries[m]
 
     @property
     def columns(self) -> np.ndarray:
@@ -157,40 +153,21 @@ def _from_indices(kind: str, phase_bits: int, idx: np.ndarray) -> Codebook:
     return Codebook(kind, phase_bits, idx, entries)
 
 
-def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:
-    """Project a complex matrix onto the phase-shifter value set.
-
-    Keeps only the phase of each entry, rounded to the nearest of the
-    2**phase_bits grid phases (ties toward the lower neighbor), and sets
-    the modulus to sqrt(1/n_ant) with n_ant = number of rows. Entries that
-    are exactly zero get phase index 0.
-    """
-    matrix = np.asarray(matrix)
-    idx = _quantize_indices(np.angle(matrix), phase_bits)
-    return _phasor_table(phase_bits, matrix.shape[0])[idx]
-
-
 def _ratio_round_half_down(num, den: int):
     # round(num/den) over exact integers or int arrays, halves toward -inf
     return -((den - 2 * num) // (2 * den))
 
 
-def dft_codebook(n_ant: int, n_beams: int, phase_bits: int | None = 6) -> Codebook:
+def dft_codebook(n_ant: int, n_beams: int, phase_bits: int = 6) -> Codebook:
     """Single-column entries pointing at the first n_beams DFT directions.
 
     Quantized indices are computed in integer arithmetic, so beam phases
-    that the quantizer grid can represent are hit exactly. phase_bits None
-    skips quantization entirely (test mode; entries are the exact atoms,
-    orthonormal when n_beams = n_ant).
+    that the quantizer grid can represent are hit exactly.
     """
     if not 1 <= n_beams <= n_ant:
         raise ValueError("n_beams must lie in [1, n_ant]")
     n = np.arange(n_ant)
     m = np.arange(n_beams)
-    if phase_bits is None:
-        amp = math.sqrt(1.0 / n_ant)
-        entries = amp * np.exp(2j * np.pi * np.outer(m, n) / n_ant)[:, :, None]
-        return Codebook(KIND_DFT, None, None, entries)
     levels = 1 << phase_bits
     idx = _ratio_round_half_down(np.outer(m, n) % n_ant * levels, n_ant) % levels
     return _from_indices(KIND_DFT, phase_bits, idx[:, :, None])
@@ -206,8 +183,8 @@ def group_columns(cb: Codebook, n_cols: int) -> Codebook:
     total = cb.n_entries * cb.n_cols
     if total % n_cols:
         raise ValueError("total column count %d not divisible by %d" % (total, n_cols))
-    idx = None if cb.phase_indices is None else _regroup(cb.phase_indices, n_cols)
-    return Codebook(cb.kind, cb.phase_bits, idx, _regroup(cb.entries, n_cols))
+    return Codebook(cb.kind, cb.phase_bits, _regroup(cb.phase_indices, n_cols),
+                    _regroup(cb.entries, n_cols))
 
 
 def random_codebook(n_ant: int, n_entries: int, n_cols: int, phase_bits: int,
@@ -335,8 +312,6 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
 def save_codebook(cb: Codebook, path) -> None:
     """Text form: header `n_ant n_entries n_cols phase_bits kind`, then one
     line of integer phase indices per entry column (entry-major)."""
-    if cb.phase_indices is None:
-        raise ValueError("unquantized codebooks have no serial form")
     lines = ["%d %d %d %d %s" % (cb.n_ant, cb.n_entries, cb.n_cols, cb.phase_bits, cb.kind)]
     for m in range(cb.n_entries):
         for c in range(cb.n_cols):

@@ -30,7 +30,6 @@ class BeamPair(NamedTuple):
 class DetectionOutcome:
     estimated: tuple          # BeamPairs, detection confidence descending
     support: tuple | None = None
-    coefficients: np.ndarray | None = None
     ridge_flagged: bool = False
 
 
@@ -39,7 +38,6 @@ class OmpResult:
     support: tuple
     coefficients: np.ndarray
     residual: np.ndarray
-    residual_norms: tuple
     ridge_flagged: bool
 
 
@@ -86,27 +84,11 @@ def exhaustive_search(y: np.ndarray, n_pairs: int) -> DetectionOutcome:
     return DetectionOutcome(estimated=est)
 
 
-class _MatrixOperator:
-    """Adapter so omp can run over a plain dense matrix."""
-
-    def __init__(self, a: np.ndarray):
-        self.a = np.asarray(a)
-        self.shape = self.a.shape
-
-    def adjoint_apply(self, r):
-        return self.a.conj().T @ r
-
-    def column(self, g):
-        return self.a[:, g]
-
-    def col_norms(self):
-        return np.linalg.norm(self.a, axis=0)
-
-
 def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     """Orthogonal matching pursuit with column-normalized selection.
 
-    op is a SensingOperator or a dense matrix. Selection maximizes
+    op is a SensingOperator or any object with the four members omp reads:
+    shape, col_norms(), adjoint_apply(r) and column(g). Selection maximizes
     |column^H residual| / ||column||, previously selected columns
     excluded. Bit-equal scores go to the lower index. Columns that alias
     in the transmit factor (multi-beam codebooks) score equal only up to
@@ -115,8 +97,6 @@ def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     falls back to a ridge solve with 1e-12 * (max column norm)^2 and the
     result is flagged.
     """
-    if isinstance(op, np.ndarray):
-        op = _MatrixOperator(op)
     if sparsity < 1 or sparsity > op.shape[1]:
         raise ValueError("sparsity must lie in [1, n_columns]")
     norms = op.col_norms()
@@ -129,7 +109,6 @@ def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     support: list[int] = []
     # column i holds the i-th pick; a is a C-ordered view of the first i + 1
     cols = np.empty((op.shape[0], sparsity), dtype=complex)
-    res_norms: list[float] = []
     coef = np.zeros(0, dtype=complex)
     flagged = False
     for i in range(sparsity):
@@ -146,8 +125,7 @@ def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
             coef = np.linalg.solve(gram, a.conj().T @ y)
             flagged = True
         residual = y - a @ coef
-        res_norms.append(float(np.linalg.norm(residual)))
-    return OmpResult(tuple(support), coef, residual, tuple(res_norms), flagged)
+    return OmpResult(tuple(support), coef, residual, flagged)
 
 
 def _bin_to_beam(g_bin: int, n_bins: int, n_beams: int) -> int:
@@ -194,7 +172,6 @@ def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int
             if len(est) == n_pairs:
                 break
     return DetectionOutcome(estimated=tuple(est), support=result.support,
-                            coefficients=result.coefficients,
                             ridge_flagged=result.ridge_flagged)
 
 

@@ -3,8 +3,6 @@
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -62,24 +60,3 @@ def detection_probability(records) -> dict:
         out[key] = GroupStats(n, p_all, _binomial_se(p_all, n),
                               p_single, _binomial_se(p_single, n))
     return out
-
-
-def error_cdf(errors):
-    """Empirical CDF as a sorted list of (error_value, cumulative_fraction).
-
-    The final fraction is exactly 1.0.
-    """
-    arr = np.asarray(list(errors))
-    if arr.size == 0:
-        raise ValueError("no errors to summarize")
-    values, counts = np.unique(arr, return_counts=True)
-    cum = np.cumsum(counts) / arr.size
-    return [(int(v), float(c)) for v, c in zip(values, cum)]
-
-
-def fraction_at_or_below(errors, threshold: float) -> float:
-    """CDF evaluated at threshold."""
-    arr = np.asarray(list(errors))
-    if arr.size == 0:
-        raise ValueError("no errors to summarize")
-    return float(np.mean(arr <= threshold))

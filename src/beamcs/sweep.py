@@ -19,12 +19,11 @@ The sensing operator maps a vectorized grid-domain channel h (tx bin
 major: g = g_tx * n_rx_bins + g_rx) to flat noiseless measurements.
 With analog-only, frequency-flat beams the per-pilot factors coincide, so
 the operator stores one transmit-side factor and one receive-side factor
-and never materializes the dense matrix outside the test path.
+and never materializes the dense matrix.
 """
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +40,15 @@ class SweepConfig:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        if self.n_pilots < 1:
+        # written as `not (...)` so that NaN fails too
+        if not self.n_pilots >= 1:
             raise ValueError("n_pilots must be positive")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be non-negative")
+        if not self.n_fft >= self.n_pilots:
+            raise ValueError("n_fft must be at least n_pilots")
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+            raise ValueError("sample_rate must be positive and finite")
+        if not (self.noise_var >= 0 and math.isfinite(self.noise_var)):
+            raise ValueError("noise_var must be non-negative and finite")
 
     @property
     def pilots(self) -> np.ndarray:
@@ -101,8 +105,8 @@ class SensingOperator:
     """Matrix-free stacked operator, one Kronecker factor pair per pilot.
 
     tx_factor = X^T conj(A_tx_grid), rx_factor = W^H A_rx_grid. Both are
-    shared by all pilots (frequency-flat beams), so apply/adjoint reduce
-    to two small matrix products per call.
+    shared by all pilots (frequency-flat beams), so the adjoint reduces
+    to two small matrix products per call and a column to one outer product.
     """
 
     tx_factor: np.ndarray  # (n_tx_entries, n_tx_bins)
@@ -122,11 +126,6 @@ class SensingOperator:
         rows = self.n_pilots * self.tx_factor.shape[0] * self.rx_factor.shape[0]
         return (rows, self.n_tx_bins * self.n_rx_bins)
 
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        hm = np.reshape(h, (self.n_rx_bins, self.n_tx_bins), order="F")
-        block = self.rx_factor @ hm @ self.tx_factor.T
-        return np.tile(block.reshape(-1, order="F"), self.n_pilots)
-
     def adjoint_apply(self, r: np.ndarray) -> np.ndarray:
         rows = self.tx_factor.shape[0] * self.rx_factor.shape[0]
         acc = np.reshape(r, (self.n_pilots, rows)).sum(axis=0)
@@ -145,10 +144,6 @@ class SensingOperator:
         return np.sqrt(self.n_pilots) * np.repeat(tn, self.n_rx_bins) \
             * np.tile(rn, self.n_tx_bins)
 
-    def to_dense(self) -> np.ndarray:
-        """Materialized matrix. Test path only; quadratic in grid size."""
-        return np.tile(np.kron(self.tx_factor, self.rx_factor), (self.n_pilots, 1))
-
 
 def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: GridDictionary,
                            rx_grid: GridDictionary, cfg: SweepConfig) -> SensingOperator:
@@ -159,25 +154,3 @@ def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: GridDictio
     tx_factor = x.T @ tx_grid.atoms.conj()
     rx_factor = w.conj().T @ rx_grid.atoms
     return SensingOperator(tx_factor, rx_factor, cfg.n_pilots)
-
-
-def save_measurements(y: np.ndarray, cfg: SweepConfig, path) -> None:
-    """Raw samples as little-endian interleaved complex doubles, C order,
-    plus a JSON sidecar holding their shape and the sweep configuration."""
-    path = Path(path)
-    path.write_bytes(np.ascontiguousarray(y, dtype="<c16").tobytes())
-    sidecar = {"dtype": "<c16", "n_samples": int(y.size), "shape": list(y.shape),
-               "config": asdict(cfg)}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_measurements(path):
-    """Returns (y, sidecar_dict) as written by save_measurements; y is flat
-    when the sidecar records no shape."""
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
-    y = np.frombuffer(path.read_bytes(), dtype="<c16").copy()
-    if y.size != sidecar["n_samples"]:
-        raise ValueError("sample count does not match sidecar")
-    return y.reshape(sidecar.get("shape", -1)), sidecar

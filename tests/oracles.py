@@ -1,0 +1,50 @@
+"""Slow reference implementations that the tests compare the product code
+against. None of them runs in a sweep."""
+
+import numpy as np
+
+from beamcs.codebooks import _phasor_table, _quantize_indices
+from beamcs.sweep import SensingOperator
+
+
+class DenseOperator:
+    """A plain dense matrix with the four members omp reads."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = np.asarray(a)
+        self.shape = self.a.shape
+
+    def adjoint_apply(self, r):
+        return self.a.conj().T @ r
+
+    def column(self, g):
+        return self.a[:, g]
+
+    def col_norms(self):
+        return np.linalg.norm(self.a, axis=0)
+
+
+def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:
+    """Project a complex matrix onto the phase-shifter value set.
+
+    Keeps only the phase of each entry, rounded to the nearest of the
+    2**phase_bits grid phases (ties toward the lower neighbor), and sets
+    the modulus to sqrt(1/n_ant) with n_ant = number of rows. Entries that
+    are exactly zero get phase index 0.
+    """
+    matrix = np.asarray(matrix)
+    idx = _quantize_indices(np.angle(matrix), phase_bits)
+    return _phasor_table(phase_bits, matrix.shape[0])[idx]
+
+
+def apply(op: SensingOperator, h: np.ndarray) -> np.ndarray:
+    """Forward map of the sensing operator: flat noiseless measurements of
+    the grid-domain channel h."""
+    hm = np.reshape(h, (op.n_rx_bins, op.n_tx_bins), order="F")
+    block = op.rx_factor @ hm @ op.tx_factor.T
+    return np.tile(block.reshape(-1, order="F"), op.n_pilots)
+
+
+def to_dense(op: SensingOperator) -> np.ndarray:
+    """Materialized sensing matrix; quadratic in grid size."""
+    return np.tile(np.kron(op.tx_factor, op.rx_factor), (op.n_pilots, 1))

@@ -224,6 +224,15 @@ def test_channel_shared_across_methods_and_snrs(tiny_run):
         assert len(sizes) == 1
 
 
+def test_snr_point_records_do_not_depend_on_the_rest_of_the_grid():
+    # noise seeds are keyed by the SNR value, and the noiseless sweep is
+    # free of it, so dropping the other 11 points changes no record
+    pair, _ = run_experiment(ExperimentConfig(n_trials=4, snr_db=(0.0, 10.0)))
+    full, _ = run_experiment(ExperimentConfig(n_trials=4))
+    assert len(pair) == 24
+    assert pair == [r for r in full if r.snr_db in (0.0, 10.0)]
+
+
 def test_emit_csv_shapes_and_roundtrip(tiny_run, tmp_path):
     cfg, records, stats = tiny_run
     summary, errors = emit_csv(records, stats, tmp_path / "out")

@@ -5,7 +5,7 @@ import pytest
 
 from beamcs.detect import BeamPair
 from beamcs.metrics import (GroupStats, TrialRecord, all_beam_match, detection_probability,
-                            error_cdf, fraction_at_or_below, single_beam_match)
+                            single_beam_match)
 
 
 def test_all_beam_match_is_set_equality():
@@ -88,35 +88,3 @@ def test_detection_probability_p_all_never_exceeds_p_single():
 def test_detection_probability_rejects_empty():
     with pytest.raises(ValueError):
         detection_probability([])
-
-
-def test_error_cdf_small_example():
-    cdf = error_cdf([0, 0, 1, -2, 0])
-    assert cdf == [(-2, 0.2), (0, 0.8), (1, 1.0)]
-
-
-def test_error_cdf_monotone_and_reaches_one():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        errs = rng.integers(-32, 32, size=rng.integers(1, 400))
-        cdf = error_cdf(errs)
-        fracs = [c for _, c in cdf]
-        vals = [v for v, _ in cdf]
-        assert vals == sorted(vals)
-        assert all(b > a for a, b in zip(fracs, fracs[1:]))
-        assert fracs[-1] == 1.0
-
-
-def test_error_cdf_rejects_empty():
-    with pytest.raises(ValueError):
-        error_cdf([])
-
-
-def test_fraction_at_or_below_matches_cdf():
-    errs = [-3, -1, 0, 0, 2, 5]
-    assert fraction_at_or_below(errs, 0) == 4 / 6
-    assert fraction_at_or_below(errs, -4) == 0.0
-    assert fraction_at_or_below(errs, 5) == 1.0
-    cdf = error_cdf(errs)
-    for v, c in cdf:
-        assert fraction_at_or_below(errs, v) == c
