@@ -4,14 +4,16 @@ Two detectors over the same acquisition: exhaustive energy ranking over
 (tx entry, combiner column) pairs, and sparse recovery on the grid-domain
 operator followed by bin-to-beam rounding. Sparse recovery is orthogonal
 matching pursuit with a fixed iteration count (the nominal path count);
-each iteration re-fits all selected coefficients by least squares.
+each iteration re-fits all selected coefficients by least squares. Every
+pilot sees the same operator block, so unless that block has parallel
+columns the fit runs on one block against the pilot mean.
 
 Beam indexing everywhere is DFT order (`arrays.beam_sin_values`), so
 index differences are circular.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -137,17 +139,28 @@ def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int
               n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
     """Sparse-recovery detector.
 
-    Runs omp on the flattened measurement y, splits each support bin g into
-    (g // n_rx_bins, g % n_rx_bins), rounds bins to beams, and returns the
-    first n_pairs distinct pairs by coefficient magnitude. If
-    deduplication leaves fewer, pairs are appended from the largest
-    remaining residual correlations.
+    Runs omp on the pilot mean of y against one pilot block of op. The
+    stacked operator repeats that block, so this is the same least-squares
+    fit: every OMP score is scaled by sqrt(n_pilots), and the ranking and
+    the coefficients agree with the stacked fit in exact arithmetic. An
+    aliased op (see `SensingOperator`) is fitted on the flattened stacked
+    measurement instead, because among its parallel columns rounding picks
+    the winner.
+
+    Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bins
+    round to beams, and the first n_pairs distinct pairs by coefficient
+    magnitude are returned. If deduplication leaves fewer, pairs are
+    appended from the largest remaining residual correlations.
     """
     if op.n_tx_bins % n_tx_beams or op.n_rx_bins % n_rx_beams:
         raise ValueError("grid sizes must be multiples of the beam counts")
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    result = omp(op, y.reshape(-1), sparsity)
+    if op.aliased:
+        result = omp(op, y.reshape(-1), sparsity)
+    else:
+        op = replace(op, n_pilots=1)
+        result = omp(op, y.mean(axis=0).reshape(-1), sparsity)
 
     def to_pair(g: int) -> BeamPair:
         gt, gr = divmod(int(g), op.n_rx_bins)

@@ -165,6 +165,8 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
     rx_grid = build_grid(ue, cfg.rx_grid_mult)
     rx_dft = group_columns(dft_codebook(cfg.n_ant_ue, cfg.n_rx_beams, cfg.phase_bits),
                            cfg.n_rf_ue)
+    tx_dft = (dft_codebook(cfg.n_ant_bs, cfg.n_tx_entries, cfg.phase_bits)
+              if {METHOD_ES, METHOD_OMP_DFT} & set(cfg.methods) else None)
     base_sweep = cfg.sweep_config(cfg.snr_db[0])
     assets = {"bs": bs, "ue": ue, "tx_grid": tx_grid, "rx_grid": rx_grid,
               "rx_dft": rx_dft, "tx_cb": {}, "op": {}}
@@ -172,7 +174,7 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
         if method == METHOD_OMP_RANDOM:
             continue
         if method in (METHOD_ES, METHOD_OMP_DFT):
-            tx_cb = dft_codebook(cfg.n_ant_bs, cfg.n_tx_entries, cfg.phase_bits)
+            tx_cb = tx_dft
         elif method == METHOD_OMP_MULTIBEAM:
             tx_cb = multi_beam_dft_codebook(cfg.n_ant_bs, cfg.n_tx_entries, cfg.phase_bits)
         else:

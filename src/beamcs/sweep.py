@@ -107,11 +107,16 @@ class SensingOperator:
     tx_factor = X^T conj(A_tx_grid), rx_factor = W^H A_rx_grid. Both are
     shared by all pilots (frequency-flat beams), so the adjoint reduces
     to two small matrix products per call and a column to one outer product.
+
+    aliased is True when either factor has two exactly parallel columns
+    (`parallel_columns`), as the multi-beam transmit factor has at 128 and
+    256 antennas; `cs_detect` fits only alias-free operators on one block.
     """
 
     tx_factor: np.ndarray  # (n_tx_entries, n_tx_bins)
     rx_factor: np.ndarray  # (n_rx_slots, n_rx_bins)
     n_pilots: int
+    aliased: bool
 
     @property
     def n_tx_bins(self) -> int:
@@ -145,6 +150,24 @@ class SensingOperator:
             * np.tile(rn, self.n_tx_bins)
 
 
+def parallel_columns(factor: np.ndarray) -> np.ndarray:
+    """Mask of the columns parallel to a lower-index column, i.e. whose
+    unit-normalized inner product with it has modulus above 1 - 1e-9.
+
+    The Gram is built 64 columns at a time, so memory stays linear in the
+    column count.
+    """
+    u = factor / np.linalg.norm(factor, axis=0)
+    n = u.shape[1]
+    mask = np.zeros(n, dtype=bool)
+    for start in range(0, n, 64):
+        stop = min(start + 64, n)
+        cos = np.abs(u[:, start:stop].conj().T @ u[:, :stop])
+        lower = np.arange(stop) < np.arange(start, stop)[:, None]
+        mask[start:stop] = ((cos > 1.0 - 1e-9) & lower).any(axis=1)
+    return mask
+
+
 def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: GridDictionary,
                            rx_grid: GridDictionary, cfg: SweepConfig) -> SensingOperator:
     if tx_grid.geometry.n_ant != tx_cb.n_ant or rx_grid.geometry.n_ant != rx_cb.n_ant:
@@ -153,4 +176,11 @@ def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: GridDictio
     x = transmit_vectors(tx_cb)
     tx_factor = x.T @ tx_grid.atoms.conj()
     rx_factor = w.conj().T @ rx_grid.atoms
-    return SensingOperator(tx_factor, rx_factor, cfg.n_pilots)
+    # A factor C^H A with at least as many slots as antennas is skipped: no
+    # two grid atoms are parallel (their sin values differ), and C^H keeps
+    # them apart wherever it is injective, which holds for the DFT, grouped
+    # DFT and random codebooks at that size.
+    aliased = any(parallel_columns(f).any()
+                  for f, n_ant in ((tx_factor, tx_cb.n_ant), (rx_factor, rx_cb.n_ant))
+                  if f.shape[0] < n_ant)
+    return SensingOperator(tx_factor, rx_factor, cfg.n_pilots, aliased)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from beamcs import detect
 from beamcs.arrays import ArrayGeometry, build_grid
 from beamcs.channel import ChannelParams, ChannelRealization, PathComponent, sample_channel
-from beamcs.codebooks import dft_codebook, group_columns, random_codebook
+from beamcs.codebooks import dft_codebook, group_columns, multi_beam_dft_codebook, random_codebook
 from beamcs.detect import (BeamPair, beam_index_errors, beam_sin_values, cs_detect,
                            exhaustive_search, omp, signed_circular_diff, true_pairs)
 from beamcs.metrics import single_beam_match
 from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
-from oracles import DenseOperator
+from oracles import DenseOperator, to_dense
 
 
 def make_channel(paths, n_bs=64, n_ue=8):
@@ -247,6 +248,54 @@ def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
                         n_pairs=len(truth))
         hits += single_beam_match(out.estimated, truth)
     assert hits / n >= 0.99
+
+
+def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
+    # alias-free operators are fitted on one pilot block against the pilot
+    # mean; the dense oracle fits the stacked pilots (2 of them, so that
+    # the dense matrix stays small)
+    rng = np.random.default_rng(11)
+    rx_dft = group_columns(dft_codebook(8, 8, 6), 4)
+    pairs = [(dft_codebook(64, 64, 6), rx_dft),
+             (random_codebook(64, 64, 1, 6, rng), random_codebook(8, 2, 4, 6, rng))]
+    grids = build_grid(ArrayGeometry(64), 3), build_grid(ArrayGeometry(8), 3)
+    for tx, rx in pairs:
+        op = build_sensing_operator(tx, rx, *grids, SweepConfig(n_pilots=2))
+        assert not op.aliased
+        dense = DenseOperator(to_dense(op))
+        for seed in range(2):
+            ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
+                                np.random.default_rng(seed))
+            signal = sweep_signal(ch, tx, rx, SweepConfig(n_pilots=2))
+            for snr_db in (-10.0, 10.0, 30.0):
+                cfg = SweepConfig(n_pilots=2, noise_var=10.0 ** (-snr_db / 10.0))
+                y = acquire(signal, rx, cfg, np.random.default_rng(100 + seed))
+                out = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
+                assert out.support == omp(dense, y.reshape(-1), 6).support
+
+
+def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
+    tx = multi_beam_dft_codebook(128, 64, 6)
+    rx = group_columns(dft_codebook(8, 8, 6), 4)
+    cfg = SweepConfig(n_pilots=10, noise_var=0.01)
+    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(128), 3),
+                                build_grid(ArrayGeometry(8), 3), cfg)
+    assert op.aliased
+    fits = []
+
+    def recorded_omp(*args):
+        fits.append(omp(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(detect, "omp", recorded_omp)
+    for seed in range(3):
+        ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
+                            np.random.default_rng(seed))
+        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(50 + seed))
+        out = cs_detect(op, y, sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)
+        want = omp(op, y.reshape(-1), 6)
+        assert out.support == want.support == fits[-1].support
+        assert np.array_equal(fits[-1].coefficients, want.coefficients)
 
 
 def test_signed_circular_diff_representatives():

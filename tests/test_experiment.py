@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from beamcs import codebooks
-from beamcs.experiment import (METHODS, ExperimentConfig, _parse_snr_range, emit_csv, main,
-                               parse_config_file, run_experiment)
+from beamcs.experiment import (METHODS, ExperimentConfig, _build_assets, _parse_snr_range,
+                               emit_csv, main, parse_config_file, run_experiment)
+from beamcs.sweep import SweepConfig, build_sensing_operator, parallel_columns
 
 # small but complete: every method family, two SNR points, real channels
 TINY = dict(n_ant_bs=16, n_ant_ue=4, n_rf_ue=2, n_tx_entries=16, n_rx_entries=2,
@@ -128,6 +129,25 @@ def test_golden_bytes(tmp_path):
         records, stats = run_experiment(ExperimentConfig(**fields))
         paths = emit_csv(records, stats, tmp_path / name)
         assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests, name
+
+
+def test_only_the_multi_beam_workload_operator_is_aliased():
+    # the benchmark's mc-default and mc-scale128 operators
+    default = _build_assets(ExperimentConfig())
+    assert not default["op"]["OMP-DFT"].aliased
+    rng = np.random.default_rng(0)
+    for _ in range(3):  # OMP-Random draws fresh codebooks per trial
+        op = build_sensing_operator(codebooks.random_codebook(64, 64, 1, 6, rng),
+                                    codebooks.random_codebook(8, 2, 4, 6, rng), default["tx_grid"],
+                                    default["rx_grid"], SweepConfig())
+        assert not op.aliased
+        # both factors are skipped by the alias test; check that the skip holds
+        assert not parallel_columns(op.tx_factor).any()
+        assert not parallel_columns(op.rx_factor).any()
+    scale = _build_assets(ExperimentConfig(n_ant_bs=128, methods=("OMP-MultiBeam", "OMP-Designed"),
+                                           snr_db=(20.0,), designed_sweeps=20))
+    assert scale["op"]["OMP-MultiBeam"].aliased
+    assert not scale["op"]["OMP-Designed"].aliased
 
 
 def test_exhaustive_search_rejected_beyond_codebook_size():

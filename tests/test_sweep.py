@@ -5,9 +5,10 @@ from numpy.testing import assert_allclose
 from beamcs.arrays import ArrayGeometry, build_grid, steering_vector
 from beamcs.channel import (ChannelRealization, PathComponent, sample_channel, ChannelParams,
                             freq_channel)
-from beamcs.codebooks import Codebook, dft_codebook, group_columns, random_codebook
-from beamcs.sweep import (SweepConfig, acquire, build_sensing_operator, sweep_signal,
-                          transmit_vectors)
+from beamcs.codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
+                              multi_beam_dft_codebook, random_codebook)
+from beamcs.sweep import (SweepConfig, acquire, build_sensing_operator, parallel_columns,
+                          sweep_signal, transmit_vectors)
 from oracles import apply, to_dense
 
 FS = 491.52e6
@@ -202,6 +203,44 @@ def test_operator_reduces_to_grid_kronecker_for_identity_beams():
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
     want = np.kron(tx_grid.atoms.conj(), rx_grid.atoms)
     assert np.max(np.abs(to_dense(op) - want)) < 1e-12
+
+
+def tx_codebook(kind, n_ant):
+    if kind == "multi-beam":
+        return multi_beam_dft_codebook(n_ant, 64, 6)
+    if kind == "dft":
+        return dft_codebook(n_ant, 64, 6)
+    return designed_codebook(n_ant, build_grid(ArrayGeometry(n_ant), 3), 64, 6,
+                             np.random.default_rng(3), sweeps=5)
+
+
+@pytest.mark.parametrize("kind, n_ant, marked", [
+    ("multi-beam", 128, 63), ("multi-beam", 256, 191), ("dft", 128, 32), ("dft", 256, 112),
+    ("multi-beam", 64, 0), ("dft", 64, 0), ("designed", 64, 0), ("designed", 128, 0)])
+def test_parallel_columns_marks_aliased_transmit_bins(kind, n_ant, marked):
+    # 3x grids and the default 8-antenna combiner; at 128 and 256 antennas
+    # the 63 and 32 marks are 63 and 32 parallel pairs, 191 and 112 cover
+    # 381 and 208 pairs
+    rx = group_columns(dft_codebook(8, 8, 6), 4)
+    op = build_sensing_operator(tx_codebook(kind, n_ant), rx, build_grid(ArrayGeometry(n_ant), 3),
+                                build_grid(ArrayGeometry(8), 3), default_cfg())
+    mask = parallel_columns(op.tx_factor)
+    assert mask.shape == (op.n_tx_bins,) and mask.sum() == marked
+    assert not parallel_columns(op.rx_factor).any()
+    assert op.aliased == (marked > 0)
+
+
+def test_parallel_columns_marks_only_later_copies():
+    u = np.array([1.0, 1j, -1.0]) / np.sqrt(3)
+    v = np.array([1.0, 0.0, 0.0])
+    # column 2 is column 0 with a phase, column 4 is column 1 scaled
+    factor = np.stack([u, v, 1j * u, u + v, 3.0 * v], axis=1)
+    assert list(parallel_columns(factor)) == [False, False, True, False, True]
+    # the Gram is built 64 columns at a time; a pair across chunks still counts
+    rng = np.random.default_rng(0)
+    wide = rng.standard_normal((4, 70)) + 1j * rng.standard_normal((4, 70))
+    wide[:, 69] = 2j * wide[:, 5]
+    assert list(np.flatnonzero(parallel_columns(wide))) == [69]
 
 
 def test_noiseless_on_grid_acquire_equals_operator_apply():
