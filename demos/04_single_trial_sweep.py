@@ -23,24 +23,26 @@ bs, ue = ArrayGeometry(64), ArrayGeometry(8)
 tx_cb = dft_codebook(64, 64, 6)
 rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
 
-# +10 dB transmit SNR
-cfg = SweepConfig(n_pilots=10, noise_var=10.0 ** (-1.0))
+# 10 pilot subcarriers, shared by every SNR point; +10 dB transmit SNR
+cfg = SweepConfig(n_pilots=10)
+noise_var = 10.0 ** (-1.0)
 
 ch = sample_channel(ChannelParams(), bs, ue, rng)
 truth = true_pairs(ch, 64, 8)
 print("true pairs:", sorted(truth))
 
 # the noiseless sweep over the channel, then combined receiver noise
-y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, cfg, rng)
+y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, noise_var, rng)
 print("measurement shape (pilot, tx entry, rx entry, chain):", y.shape)
 
 # exhaustive search ranks (tx entry, combiner column) energies
 es = exhaustive_search(y, n_pairs=len(truth))
 print("ES estimates: ", list(es.estimated))
 
-# sparse recovery sees the same measurements through the sensing operator
-op = build_sensing_operator(tx_cb, rx_cb, build_grid(bs, 3), build_grid(ue, 3), cfg)
-print("operator shape:", op.shape)
+# sparse recovery sees the same measurements through the sensing operator,
+# one pilot block that every pilot shares; cs_detect fits it to the pilot mean
+op = build_sensing_operator(tx_cb, rx_cb, build_grid(bs, 3), build_grid(ue, 3))
+print("operator shape (one pilot block):", op.shape)
 
 cs = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=len(truth))
 print("OMP estimates:", list(cs.estimated))

@@ -139,13 +139,13 @@ def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int
               n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
     """Sparse-recovery detector.
 
-    Runs omp on the pilot mean of y against one pilot block of op. The
-    stacked operator repeats that block, so this is the same least-squares
-    fit: every OMP score is scaled by sqrt(n_pilots), and the ranking and
-    the coefficients agree with the stacked fit in exact arithmetic. An
-    aliased op (see `SensingOperator`) is fitted on the flattened stacked
-    measurement instead, because among its parallel columns rounding picks
-    the winner.
+    op is one pilot block. Runs omp on the pilot mean of y against it:
+    the operator stacked over the pilots repeats that block, so this is the
+    same least-squares fit. Every OMP score is scaled by sqrt(n_pilots),
+    and the ranking and the coefficients agree with the stacked fit in
+    exact arithmetic. An aliased op (see `SensingOperator`) is stacked
+    over y's pilots and fitted on the flattened measurement instead,
+    because among its parallel columns rounding picks the winner.
 
     Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bins
     round to beams, and the first n_pairs distinct pairs by coefficient
@@ -157,9 +157,9 @@ def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
     if op.aliased:
+        op = replace(op, n_pilots=y.shape[0])
         result = omp(op, y.reshape(-1), sparsity)
     else:
-        op = replace(op, n_pilots=1)
         result = omp(op, y.mean(axis=0).reshape(-1), sparsity)
 
     def to_pair(g: int) -> BeamPair:

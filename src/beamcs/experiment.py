@@ -92,6 +92,10 @@ class ExperimentConfig:
         return ChannelParams(**{f.name: getattr(self, f.name)
                                 for f in dataclasses.fields(ChannelParams)})
 
+    @property
+    def sweep(self) -> SweepConfig:
+        return SweepConfig(n_pilots=self.n_pilots, n_fft=self.n_fft, sample_rate=self.sample_rate)
+
     def validate(self) -> None:
         for m in self.methods:
             if m not in METHODS:
@@ -105,8 +109,6 @@ class ExperimentConfig:
                      "rx_grid_mult"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
-        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
-            raise ValueError("sample_rate must be positive and finite")
         if self.phase_bits > 16:  # the phase table holds 2**phase_bits entries
             raise ValueError("phase_bits must not exceed 16")
         for name in ("n_ant_bs", "n_ant_ue"):
@@ -115,8 +117,7 @@ class ExperimentConfig:
             except RuntimeError:
                 raise ValueError("phase_bits=%d has no exact-modulus phasor table at %s=%d"
                                  % (self.phase_bits, name, getattr(self, name))) from None
-        if self.n_pilots > self.n_fft:
-            raise ValueError("n_pilots must not exceed n_fft")
+        self.sweep  # its constructor checks the pilot block
         self.channel_params  # its constructor checks the channel fields
         multi_beam = [m for m in self.methods if m in (METHOD_OMP_MULTIBEAM, METHOD_OMP_DESIGNED)]
         if multi_beam and self.n_ant_bs % self.n_tx_entries:
@@ -124,8 +125,14 @@ class ExperimentConfig:
                              % multi_beam[0])
         if self.n_rx_beams > self.n_ant_ue:
             raise ValueError("n_rx_entries * n_rf_ue must not exceed n_ant_ue")
+        if {METHOD_ES, METHOD_OMP_DFT} & set(self.methods) and self.n_tx_entries > self.n_ant_bs:
+            raise ValueError("ES and OMP-DFT use a DFT tx codebook: n_tx_entries ≤ n_ant_bs")
         if METHOD_ES in self.methods and self.n_tx_entries < self.n_tx_beams:
             raise ValueError("exhaustive search requires M_BS ≥ n_tx_beams")
+        omp_methods = [m for m in self.methods if m != METHOD_ES]
+        if omp_methods and (self.n_ant_ue * self.rx_grid_mult) % self.n_rx_beams:
+            raise ValueError("%s requires n_ant_ue * rx_grid_mult to be a multiple of "
+                             "n_rx_entries * n_rf_ue" % omp_methods[0])
         if self.designed_sweeps < 0:
             raise ValueError("designed_sweeps must be non-negative")
         n_bins = self.n_ant_bs * self.tx_grid_mult * self.n_ant_ue * self.rx_grid_mult
@@ -142,10 +149,6 @@ class ExperimentConfig:
             raise ValueError("workers must be positive")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-
-    def sweep_config(self, snr_db: float) -> SweepConfig:
-        return SweepConfig(n_pilots=self.n_pilots, n_fft=self.n_fft, sample_rate=self.sample_rate,
-                           noise_var=10.0 ** (-snr_db / 10.0))
 
 
 def _seed(master: int, *parts: int) -> np.random.SeedSequence:
@@ -167,7 +170,6 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
                            cfg.n_rf_ue)
     tx_dft = (dft_codebook(cfg.n_ant_bs, cfg.n_tx_entries, cfg.phase_bits)
               if {METHOD_ES, METHOD_OMP_DFT} & set(cfg.methods) else None)
-    base_sweep = cfg.sweep_config(cfg.snr_db[0])
     assets = {"bs": bs, "ue": ue, "tx_grid": tx_grid, "rx_grid": rx_grid,
               "rx_dft": rx_dft, "tx_cb": {}, "op": {}}
     for method in cfg.methods:
@@ -183,8 +185,7 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
                                       cfg.phase_bits, rng, sweeps=cfg.designed_sweeps)
         assets["tx_cb"][method] = tx_cb
         if method != METHOD_ES:
-            assets["op"][method] = build_sensing_operator(tx_cb, rx_dft, tx_grid,
-                                                          rx_grid, base_sweep)
+            assets["op"][method] = build_sensing_operator(tx_cb, rx_dft, tx_grid, rx_grid)
     return assets
 
 
@@ -202,18 +203,16 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
                                     cfg.phase_bits, cb_rng)
             rx_cb = random_codebook(cfg.n_ant_ue, cfg.n_rx_entries, cfg.n_rf_ue,
                                     cfg.phase_bits, cb_rng)
-            op = build_sensing_operator(tx_cb, rx_cb, assets["tx_grid"],
-                                        assets["rx_grid"], cfg.sweep_config(cfg.snr_db[0]))
+            op = build_sensing_operator(tx_cb, rx_cb, assets["tx_grid"], assets["rx_grid"])
         else:
             tx_cb = assets["tx_cb"][method]
             rx_cb = assets["rx_dft"]
             op = assets["op"].get(method)
-        signal = sweep_signal(ch, tx_cb, rx_cb, cfg.sweep_config(cfg.snr_db[0]))
+        signal = sweep_signal(ch, tx_cb, rx_cb, cfg.sweep)
         for snr in cfg.snr_db:
-            scfg = cfg.sweep_config(snr)
             noise_rng = np.random.default_rng(
                 _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), mid))
-            y = acquire(signal, rx_cb, scfg, noise_rng)
+            y = acquire(signal, rx_cb, 10.0 ** (-snr / 10.0), noise_rng)
             if method == METHOD_ES:
                 out = exhaustive_search(y, n_pairs)
             else:
@@ -311,9 +310,8 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 def _coerce(name: str, value: str):
     if name not in _FIELDS:
-        raise ValueError("unknown config key %r" % name)
+        raise ValueError("unknown config key")
     ftype = _FIELDS[name].type
-    value = value.strip()
     if name == "snr_db":
         if ":" in value:
             return _parse_snr_range(value)
@@ -337,8 +335,11 @@ def parse_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ValueError("line %d is not key=value: %r" % (lineno, raw))
-        key, value = line.split("=", 1)
-        overrides[key.strip()] = _coerce(key.strip(), value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            overrides[key] = _coerce(key, value)
+        except ValueError as exc:
+            raise ValueError("line %d, key %r: %s" % (lineno, key, exc)) from None
     return overrides
 
 

@@ -2,8 +2,8 @@
 
 One sweep transmits every tx codebook entry against every rx codebook
 entry, and each rx entry feeds one RF chain per column. The codebooks
-alone fix the sweep's shape; `SweepConfig` holds only the pilot block and
-the noise level. A measurement is the C-ordered array
+alone fix the sweep's shape; `SweepConfig` holds only the pilot block. A
+measurement is the C-ordered array
 
     y[k, i, j, r]   pilot k, tx entry i, rx entry j, chain r
 
@@ -11,15 +11,16 @@ so its flat form, which the sensing operator maps to, is pilot-major,
 then tx entry, then rx entry, then chain.
 
 A sweep is a noiseless signal (`sweep_signal`: free of noise_var, so one
-serves every SNR point of a channel) plus combined noise (`acquire`). Noise
-is drawn per receive antenna and passed through the combiner, so its
-covariance is noise_var * W^H W by construction, never assumed white.
+serves every SNR point of a channel) plus combined noise (`acquire`, given
+noise_var). Noise is drawn per receive antenna and passed through the
+combiner, so its covariance is noise_var * W^H W by construction, never
+assumed white.
 
 The sensing operator maps a vectorized grid-domain channel h (tx bin
-major: g = g_tx * n_rx_bins + g_rx) to flat noiseless measurements.
-With analog-only, frequency-flat beams the per-pilot factors coincide, so
-the operator stores one transmit-side factor and one receive-side factor
-and never materializes the dense matrix.
+major: g = g_tx * n_rx_bins + g_rx) to one pilot's noiseless measurements.
+With analog-only, frequency-flat beams every pilot sees that one block, so
+the operator stores one transmit-side factor and one receive-side factor,
+never the dense matrix; only `cs_detect` stacks it over the pilots.
 """
 
 import math
@@ -37,18 +38,15 @@ class SweepConfig:
     n_pilots: int = 10
     n_fft: int = 4096
     sample_rate: float = 491.52e6
-    noise_var: float = 1.0
 
     def __post_init__(self):
         # written as `not (...)` so that NaN fails too
         if not self.n_pilots >= 1:
             raise ValueError("n_pilots must be positive")
         if not self.n_fft >= self.n_pilots:
-            raise ValueError("n_fft must be at least n_pilots")
+            raise ValueError("n_pilots must not exceed n_fft")
         if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
             raise ValueError("sample_rate must be positive and finite")
-        if not (self.noise_var >= 0 and math.isfinite(self.noise_var)):
-            raise ValueError("noise_var must be non-negative and finite")
 
     @property
     def pilots(self) -> np.ndarray:
@@ -77,36 +75,36 @@ def sweep_signal(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,
     w_h = rx_cb.columns.conj().T
     x = transmit_vectors(tx_cb)
     h = freq_channel(ch, cfg.pilots, cfg.sample_rate, cfg.n_fft)
-    sig = np.empty((cfg.n_pilots, w_h.shape[0], tx_cb.n_entries), dtype=complex)
-    for ki in range(cfg.n_pilots):
-        sig[ki] = w_h @ h[ki] @ x
+    sig = w_h @ h @ x
     return sig.reshape(cfg.n_pilots, rx_cb.n_entries, rx_cb.n_cols,
                        tx_cb.n_entries).transpose(0, 3, 1, 2)
 
 
-def acquire(signal: np.ndarray, rx_cb: Codebook, cfg: SweepConfig,
+def acquire(signal: np.ndarray, rx_cb: Codebook, noise_var: float,
             rng: np.random.Generator) -> np.ndarray:
-    """Add combined noise to a noiseless sweep from `sweep_signal`. Returns
-    the C-ordered (pilot, tx entry, rx entry, chain) measurement."""
-    if signal.shape[0] != cfg.n_pilots:
-        raise ValueError("signal shape does not match the sweep")
+    """Add combined noise of per-antenna variance noise_var to a noiseless
+    sweep from `sweep_signal`. Returns the C-ordered (pilot, tx entry,
+    rx entry, chain) measurement."""
+    if not (noise_var >= 0 and math.isfinite(noise_var)):
+        raise ValueError("noise_var must be non-negative and finite")
     if signal.shape[2:] != (rx_cb.n_entries, rx_cb.n_cols):
         raise ValueError("rx codebook shape does not match the signal")
     w_h = rx_cb.columns.conj().T.reshape(rx_cb.n_entries, rx_cb.n_cols, rx_cb.n_ant)
     # one antenna-domain noise vector per (pilot, tx entry, rx entry)
     draws = rng.standard_normal(size=signal.shape[:3] + (rx_cb.n_ant, 2))
-    z = draws.view(complex)[..., 0] * np.sqrt(cfg.noise_var / 2.0)  # pairs as (re, im)
+    z = draws.view(complex)[..., 0] * np.sqrt(noise_var / 2.0)  # pairs as (re, im)
     noise = np.einsum("jre,kije->kijr", w_h, z)
     return np.ascontiguousarray(signal + noise)
 
 
 @dataclass(frozen=True, eq=False)
 class SensingOperator:
-    """Matrix-free stacked operator, one Kronecker factor pair per pilot.
+    """Matrix-free operator of one pilot block, as one Kronecker factor pair.
 
-    tx_factor = X^T conj(A_tx_grid), rx_factor = W^H A_rx_grid. Both are
-    shared by all pilots (frequency-flat beams), so the adjoint reduces
-    to two small matrix products per call and a column to one outer product.
+    tx_factor = X^T conj(A_tx_grid), rx_factor = W^H A_rx_grid. Every pilot
+    sees this block (frequency-flat beams); n_pilots stacks it, which only
+    `cs_detect` does. The adjoint reduces to two small matrix products per
+    call and a column to one outer product.
 
     aliased is True when either factor has two exactly parallel columns
     (`parallel_columns`), as the multi-beam transmit factor has at 128 and
@@ -115,8 +113,8 @@ class SensingOperator:
 
     tx_factor: np.ndarray  # (n_tx_entries, n_tx_bins)
     rx_factor: np.ndarray  # (n_rx_slots, n_rx_bins)
-    n_pilots: int
     aliased: bool
+    n_pilots: int = 1
 
     @property
     def n_tx_bins(self) -> int:
@@ -169,7 +167,7 @@ def parallel_columns(factor: np.ndarray) -> np.ndarray:
 
 
 def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: GridDictionary,
-                           rx_grid: GridDictionary, cfg: SweepConfig) -> SensingOperator:
+                           rx_grid: GridDictionary) -> SensingOperator:
     if tx_grid.geometry.n_ant != tx_cb.n_ant or rx_grid.geometry.n_ant != rx_cb.n_ant:
         raise ValueError("grid and codebook antenna counts differ")
     w = rx_cb.columns
@@ -183,4 +181,4 @@ def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: GridDictio
     aliased = any(parallel_columns(f).any()
                   for f, n_ant in ((tx_factor, tx_cb.n_ant), (rx_factor, rx_cb.n_ant))
                   if f.shape[0] < n_ant)
-    return SensingOperator(tx_factor, rx_factor, cfg.n_pilots, aliased)
+    return SensingOperator(tx_factor, rx_factor, aliased)

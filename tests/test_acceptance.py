@@ -225,11 +225,10 @@ def test_criterion_6b_operator_matches_dense():
     worst = 0.0
     for trial in range(5):
         n_bs = int(rng.choice([8, 12, 16]))
-        cfg = SweepConfig(n_pilots=3, noise_var=0.5)
         tx_cb = dft_codebook(n_bs, n_bs, 6)
         rx_cb = group_columns(dft_codebook(4, 4, 6), 2)
-        op = build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(n_bs), 3),
-                                    build_grid(ArrayGeometry(4), 3), cfg)
+        op = replace(build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(n_bs), 3),
+                                            build_grid(ArrayGeometry(4), 3)), n_pilots=3)
         dense = to_dense(op)
         h = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
         y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
@@ -265,17 +264,18 @@ def test_criterion_6c_omp_equals_brute_force_l0():
 
 
 def test_criterion_6d_combined_noise_covariance():
-    cfg = SweepConfig(n_pilots=1, noise_var=0.7)
+    cfg = SweepConfig(n_pilots=1)
+    noise_var = 0.7
     tx_cb = dft_codebook(8, 1, 6)
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
     silent = ChannelRealization([PathComponent(0.0 + 0.0j, 0.0, 0.1, -0.2, 0, 0)],
                                 1.0, ArrayGeometry(8), ArrayGeometry(8))
     w = np.concatenate([rx_cb.entries[j] for j in range(2)], axis=1)
-    want = cfg.noise_var * (w.conj().T @ w)
+    want = noise_var * (w.conj().T @ w)
     rng = np.random.default_rng(64)
     draws = np.empty((10_000, 8), dtype=complex)
     for i in range(draws.shape[0]):
-        draws[i] = acquire(sweep_signal(silent, tx_cb, rx_cb, cfg), rx_cb, cfg,
+        draws[i] = acquire(sweep_signal(silent, tx_cb, rx_cb, cfg), rx_cb, noise_var,
                            rng).reshape(-1)
     got = draws.conj().T @ draws / draws.shape[0]
     rel = np.linalg.norm(got - want.T) / np.linalg.norm(want)
@@ -287,9 +287,9 @@ def test_criterion_6d_combined_noise_covariance():
 def test_criterion_7_noiseless_on_grid_end_to_end():
     tx_cb = dft_codebook(64, 64, 6)
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
-    cfg = SweepConfig(n_pilots=10, noise_var=0.0)
+    cfg = SweepConfig(n_pilots=10)
     op = build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(64), 3),
-                                build_grid(ArrayGeometry(8), 3), cfg)
+                                build_grid(ArrayGeometry(8), 3))
     tx_sins, rx_sins = beam_sin_values(64), beam_sin_values(8)
     rng = np.random.default_rng(70)
     hits_cs = hits_es = 0
@@ -302,7 +302,7 @@ def test_criterion_7_noiseless_on_grid_end_to_end():
                                 ArrayGeometry(8))
         truth = true_pairs(ch, 64, 8)
         assert truth == {BeamPair(bt, br)}
-        y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, cfg, np.random.default_rng(t))
+        y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, 0.0, np.random.default_rng(t))
         hits_cs += set(cs_detect(op, y, 1, 64, 8, 1).estimated) == truth
         hits_es += set(exhaustive_search(y, 1).estimated) == truth
     print("criterion 7: noiseless on-grid p_all OMP-DFT %d/100, ES %d/100 (need 100)"

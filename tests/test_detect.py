@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,8 +71,8 @@ def test_true_pairs_wraps_at_sin_seam():
     assert true_pairs(ch, 64, 8) == {BeamPair(31, 3)}
 
 
-def default_sweep(noise_var):
-    return SweepConfig(n_pilots=10, noise_var=noise_var)
+def default_sweep():
+    return SweepConfig(n_pilots=10)
 
 
 def dft_pair_codebooks(n_tx=64, n_ue=8):
@@ -81,8 +82,7 @@ def dft_pair_codebooks(n_tx=64, n_ue=8):
 def test_exhaustive_search_finds_aligned_path():
     ch = make_channel([on_beam_path(23, 5)])
     tx, rx = dft_pair_codebooks()
-    y = acquire(sweep_signal(ch, tx, rx, default_sweep(0.0)), rx, default_sweep(0.0),
-                   np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, default_sweep()), rx, 0.0, np.random.default_rng(0))
     out = exhaustive_search(y, 1)
     assert out.estimated == (BeamPair(23, 5),)
 
@@ -91,8 +91,7 @@ def test_exhaustive_search_matches_brute_force_ranking():
     ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                         np.random.default_rng(21))
     tx, rx = dft_pair_codebooks()
-    y = acquire(sweep_signal(ch, tx, rx, default_sweep(0.5)), rx, default_sweep(0.5),
-                   np.random.default_rng(22))
+    y = acquire(sweep_signal(ch, tx, rx, default_sweep()), rx, 0.5, np.random.default_rng(22))
     n_pairs = 5
     out = exhaustive_search(y, n_pairs)
     # independent route: accumulate energies straight from the stacked vector
@@ -184,20 +183,19 @@ def test_omp_rejects_bad_sparsity():
         omp(a, np.ones(4), 5)
 
 
-def cs_setup(multiplier, noise_var=0.0, n_tx=64, n_ue=8, seed=7):
+def cs_setup(multiplier, n_tx=64, n_ue=8, seed=7):
     tx, rx = dft_pair_codebooks(n_tx, n_ue)
-    cfg = default_sweep(noise_var)
     tx_grid = build_grid(ArrayGeometry(n_tx), multiplier)
     rx_grid = build_grid(ArrayGeometry(n_ue), multiplier)
-    op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
-    return tx, rx, cfg, op
+    op = build_sensing_operator(tx, rx, tx_grid, rx_grid)
+    return tx, rx, default_sweep(), op
 
 
 def test_cs_detect_on_grid_single_path():
     for mult in (1, 3):
         tx, rx, cfg, op = cs_setup(mult)
         ch = make_channel([on_beam_path(37, 2)])
-        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
         out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
         assert out.estimated == (BeamPair(37, 2),)
         assert not out.ridge_flagged
@@ -206,7 +204,7 @@ def test_cs_detect_on_grid_single_path():
 def test_cs_detect_support_bin_arithmetic():
     tx, rx, cfg, op = cs_setup(3)
     ch = make_channel([on_beam_path(10, 6)])
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
     out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
     g = out.support[0]
     # bin splits as (tx_bin, rx_bin) with the rx grid minor
@@ -216,7 +214,7 @@ def test_cs_detect_support_bin_arithmetic():
 def test_cs_detect_pads_when_dedup_runs_short():
     tx, rx, cfg, op = cs_setup(1)
     ch = make_channel([on_beam_path(20, 4)])
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
     out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
     assert len(out.estimated) == 2
     assert out.estimated[0] == BeamPair(20, 4)
@@ -226,7 +224,7 @@ def test_cs_detect_pads_when_dedup_runs_short():
 def test_cs_detect_two_separated_paths():
     tx, rx, cfg, op = cs_setup(3)
     ch = make_channel([on_beam_path(8, 1, gain=2.0), on_beam_path(50, 6, gain=1.0)])
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
     out = cs_detect(op, y, sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
     assert set(out.estimated) == {BeamPair(8, 1), BeamPair(50, 6)}
     # stronger path carries the larger coefficient, so it ranks first
@@ -235,15 +233,15 @@ def test_cs_detect_two_separated_paths():
 
 def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
     tx, rx, cfg, op = cs_setup(3)
-    cfg_noisy = SweepConfig(n_pilots=10, noise_var=10.0 ** (-3.0))  # +30 dB transmit SNR
+    noise_var = 10.0 ** (-3.0)  # +30 dB transmit SNR
     hits = 0
     n = 500
     for t in range(n):
         ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                             np.random.default_rng(10_000 + t))
         truth = true_pairs(ch, 64, 8)
-        y = acquire(sweep_signal(ch, tx, rx, cfg_noisy), rx, cfg_noisy,
-                       np.random.default_rng(20_000 + t))
+        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, noise_var,
+                    np.random.default_rng(20_000 + t))
         out = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8,
                         n_pairs=len(truth))
         hits += single_beam_match(out.estimated, truth)
@@ -260,16 +258,16 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
              (random_codebook(64, 64, 1, 6, rng), random_codebook(8, 2, 4, 6, rng))]
     grids = build_grid(ArrayGeometry(64), 3), build_grid(ArrayGeometry(8), 3)
     for tx, rx in pairs:
-        op = build_sensing_operator(tx, rx, *grids, SweepConfig(n_pilots=2))
+        op = build_sensing_operator(tx, rx, *grids)
         assert not op.aliased
-        dense = DenseOperator(to_dense(op))
+        dense = DenseOperator(to_dense(replace(op, n_pilots=2)))
         for seed in range(2):
             ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                                 np.random.default_rng(seed))
             signal = sweep_signal(ch, tx, rx, SweepConfig(n_pilots=2))
             for snr_db in (-10.0, 10.0, 30.0):
-                cfg = SweepConfig(n_pilots=2, noise_var=10.0 ** (-snr_db / 10.0))
-                y = acquire(signal, rx, cfg, np.random.default_rng(100 + seed))
+                y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
+                            np.random.default_rng(100 + seed))
                 out = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
                 assert out.support == omp(dense, y.reshape(-1), 6).support
 
@@ -277,9 +275,9 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
 def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
     tx = multi_beam_dft_codebook(128, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    cfg = SweepConfig(n_pilots=10, noise_var=0.01)
+    cfg = SweepConfig(n_pilots=10)
     op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(128), 3),
-                                build_grid(ArrayGeometry(8), 3), cfg)
+                                build_grid(ArrayGeometry(8), 3))
     assert op.aliased
     fits = []
 
@@ -291,9 +289,9 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
     for seed in range(3):
         ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
                             np.random.default_rng(seed))
-        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(50 + seed))
+        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.01, np.random.default_rng(50 + seed))
         out = cs_detect(op, y, sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)
-        want = omp(op, y.reshape(-1), 6)
+        want = omp(replace(op, n_pilots=10), y.reshape(-1), 6)
         assert out.support == want.support == fits[-1].support
         assert np.array_equal(fits[-1].coefficients, want.coefficients)
 

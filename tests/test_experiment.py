@@ -8,7 +8,7 @@ import pytest
 from beamcs import codebooks
 from beamcs.experiment import (METHODS, ExperimentConfig, _build_assets, _parse_snr_range,
                                emit_csv, main, parse_config_file, run_experiment)
-from beamcs.sweep import SweepConfig, build_sensing_operator, parallel_columns
+from beamcs.sweep import build_sensing_operator, parallel_columns
 
 # small but complete: every method family, two SNR points, real channels
 TINY = dict(n_ant_bs=16, n_ant_ue=4, n_rf_ue=2, n_tx_entries=16, n_rx_entries=2,
@@ -25,13 +25,6 @@ def test_default_config_matches_nominal_setup():
     assert cfg.n_trials == 500
     assert cfg.effective_sparsity == 6
     cfg.validate()
-
-
-def test_sweep_config_sets_noise_from_snr():
-    cfg = ExperimentConfig()
-    assert cfg.sweep_config(10.0).noise_var == pytest.approx(0.1, rel=1e-12)
-    assert cfg.sweep_config(-20.0).noise_var == pytest.approx(100.0, rel=1e-12)
-    assert cfg.sweep_config(0.0).noise_var == 1.0
 
 
 def test_validate_rejects_bad_configs():
@@ -53,6 +46,14 @@ def test_validate_rejects_bad_configs():
             ExperimentConfig(n_ant_bs=96, methods=(method,)).validate()
     with pytest.raises(ValueError, match="must not exceed n_ant_ue"):
         ExperimentConfig(n_rx_entries=3).validate()
+    # these built every asset and failed in dft_codebook or in trial 0's
+    # cs_detect, with errors that named no field
+    for method in ("ES", "OMP-DFT"):
+        with pytest.raises(ValueError, match="n_tx_entries ≤ n_ant_bs"):
+            ExperimentConfig(n_tx_entries=128, methods=(method,)).validate()
+    with pytest.raises(ValueError, match="OMP-Random requires n_ant_ue \\* rx_grid_mult"):
+        ExperimentConfig(n_rx_entries=5, n_rf_ue=1).validate()
+    ExperimentConfig(n_rx_entries=5, n_rf_ue=1, methods=("ES",)).validate()
     for name in ("phase_bits", "n_pilots", "tx_grid_mult", "rx_grid_mult", "n_fft",
                  "n_tx_entries", "n_rx_entries", "n_rf_ue", "n_ant_bs", "n_ant_ue"):
         with pytest.raises(ValueError, match=name + " must be positive"):
@@ -139,7 +140,7 @@ def test_only_the_multi_beam_workload_operator_is_aliased():
     for _ in range(3):  # OMP-Random draws fresh codebooks per trial
         op = build_sensing_operator(codebooks.random_codebook(64, 64, 1, 6, rng),
                                     codebooks.random_codebook(8, 2, 4, 6, rng), default["tx_grid"],
-                                    default["rx_grid"], SweepConfig())
+                                    default["rx_grid"])
         assert not op.aliased
         # both factors are skipped by the alias test; check that the skip holds
         assert not parallel_columns(op.tx_factor).any()
@@ -196,6 +197,16 @@ def test_parse_config_file_rejects_unknown_key(tmp_path):
     p.write_text("snr=0:5:10\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_file(p)
+
+
+def test_parse_config_file_names_the_line_and_key_of_a_bad_value(tmp_path):
+    p = tmp_path / "run.cfg"
+    for text, where in (("n_trials = 25\nn_trials = 1e3\n", "line 2, key 'n_trials'"),
+                        ("snr_db = 0, x\n", "line 1, key 'snr_db'"),
+                        ("# seed\nsnr_db = 0:-5:10\n", "line 2, key 'snr_db'")):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=where):
+            parse_config_file(p)
 
 
 def test_parse_config_file_rejects_non_assignment(tmp_path):

@@ -5,6 +5,7 @@ recovery."""
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -19,7 +20,7 @@ from beamcs.codebooks import (Codebook, _beam_angles, _coherence_of_effective,
                               dft_codebook, group_columns, load_codebook, random_codebook,
                               save_codebook)
 from beamcs.detect import omp, signed_circular_diff
-from beamcs.sweep import SweepConfig, build_sensing_operator
+from beamcs.sweep import build_sensing_operator
 from oracles import DenseOperator, apply, to_dense
 
 # derandomized and without an example database, so every run draws the
@@ -181,11 +182,11 @@ def _raw_codebook(rng, n_entries, n_ant, n_cols):
 def test_operator_adjoint_identity(n_tx, n_rx, n_tx_entries, n_rx_entries, n_rf, n_pilots,
                                    tx_mult, rx_mult, seed):
     rng = np.random.default_rng(seed)
-    cfg = SweepConfig(n_pilots=n_pilots)
-    op = build_sensing_operator(_raw_codebook(rng, n_tx_entries, n_tx, 1),
-                                _raw_codebook(rng, n_rx_entries, n_rx, n_rf),
-                                build_grid(ArrayGeometry(n_tx), tx_mult),
-                                build_grid(ArrayGeometry(n_rx), rx_mult), cfg)
+    op = replace(build_sensing_operator(_raw_codebook(rng, n_tx_entries, n_tx, 1),
+                                        _raw_codebook(rng, n_rx_entries, n_rx, n_rf),
+                                        build_grid(ArrayGeometry(n_tx), tx_mult),
+                                        build_grid(ArrayGeometry(n_rx), rx_mult)),
+                 n_pilots=n_pilots)
     h = rng.standard_normal((op.shape[1], 2)) @ np.array([1.0, 1j])
     r = rng.standard_normal((op.shape[0], 2)) @ np.array([1.0, 1j])
     lhs = np.vdot(r, apply(op, h))

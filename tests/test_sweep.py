@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,7 +23,7 @@ def raw_codebook(entries):
 
 
 def default_cfg(**kw):
-    base = dict(n_pilots=10, n_fft=4096, sample_rate=FS, noise_var=0.1)
+    base = dict(n_pilots=10, n_fft=4096, sample_rate=FS)
     base.update(kw)
     return SweepConfig(**base)
 
@@ -47,12 +49,11 @@ def test_measurement_vector_length_and_energy_layout():
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     cfg = default_cfg()
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(2))
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.1, np.random.default_rng(2))
     assert y.shape == (10, 64, 2, 4)  # pilot, tx entry, rx entry, chain
     assert y.flags.c_contiguous
     # flat order: pilot-major, then block m = i*n_rx_entries + j, then chain
-    quiet = acquire(sweep_signal(ch, tx, rx, default_cfg(noise_var=0.0)), rx,
-                    default_cfg(noise_var=0.0), np.random.default_rng(2))
+    quiet = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(2))
     x = transmit_vectors(tx)
     w = np.concatenate([rx.entries[j] for j in range(2)], axis=1)
     h = freq_channel(ch, cfg.pilots, FS, 4096)
@@ -68,31 +69,27 @@ def default_sweep_inputs():
     return ch, dft_codebook(64, 64, 6), group_columns(dft_codebook(8, 8, 6), 4)
 
 
-def test_sweep_signal_does_not_depend_on_noise_var():
-    ch, tx, rx = default_sweep_inputs()
-    loud = sweep_signal(ch, tx, rx, default_cfg(noise_var=3.0))
-    quiet = sweep_signal(ch, tx, rx, default_cfg(noise_var=1e-4))
-    assert loud.shape == (10, 64, 2, 4)  # pilot, tx entry, rx entry, chain
-    assert loud.tobytes() == quiet.tobytes()
-
-
 def test_acquire_without_noise_returns_the_signal():
     ch, tx, rx = default_sweep_inputs()
-    cfg = default_cfg(noise_var=0.0)
-    signal = sweep_signal(ch, tx, rx, cfg)
-    y = acquire(signal, rx, cfg, np.random.default_rng(3))
+    signal = sweep_signal(ch, tx, rx, default_cfg())
+    y = acquire(signal, rx, 0.0, np.random.default_rng(3))
     assert np.array_equal(y, signal)
 
 
 def test_acquire_rejects_mismatched_signal_and_combiner():
     ch, tx, rx = default_sweep_inputs()
-    cfg = default_cfg()
-    signal = sweep_signal(ch, tx, rx, cfg)
-    with pytest.raises(ValueError, match="signal shape"):
-        acquire(signal, rx, default_cfg(n_pilots=5), np.random.default_rng(0))
+    signal = sweep_signal(ch, tx, rx, default_cfg())
     with pytest.raises(ValueError, match="rx codebook shape"):
-        acquire(signal, group_columns(dft_codebook(8, 8, 6), 2), cfg,
+        acquire(signal, group_columns(dft_codebook(8, 8, 6), 2), 0.1,
                 np.random.default_rng(0))
+
+
+def test_acquire_rejects_bad_noise_var():
+    ch, tx, rx = default_sweep_inputs()
+    signal = sweep_signal(ch, tx, rx, default_cfg())
+    for noise_var in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_var must be non-negative and finite"):
+            acquire(signal, rx, noise_var, np.random.default_rng(0))
 
 
 def test_noiseless_aligned_measurement_closed_form():
@@ -101,8 +98,8 @@ def test_noiseless_aligned_measurement_closed_form():
     ch = ChannelRealization([path], gain_scale=np.sqrt(32 * 8), tx_geometry=bs, rx_geometry=ue)
     tx = raw_codebook(steering_vector(bs, path.aod)[None, :, None])
     rx = raw_codebook(steering_vector(ue, path.aoa)[None, :, None])
-    cfg = SweepConfig(n_pilots=4, noise_var=0.0)
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
+    cfg = SweepConfig(n_pilots=4)
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
     # perfectly matched beams collapse to scale * gain per pilot
     want_mag = ch.gain_scale * abs(path.gain)
     assert_allclose(np.abs(y.reshape(-1)), np.full(4, want_mag), rtol=1e-12)
@@ -121,10 +118,11 @@ def test_combined_noise_covariance_is_shaped_by_combiner():
     rx = random_codebook(8, 1, 4, 6, rng)
     tx = random_codebook(4, 200, 1, 6, rng)
     noise_var = 0.37
-    cfg = SweepConfig(n_pilots=2, noise_var=noise_var)
+    cfg = SweepConfig(n_pilots=2)
     draws = []
     for rep in range(10):
-        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(100 + rep))
+        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, noise_var,
+                    np.random.default_rng(100 + rep))
         y = y.reshape(2, 200, 4)                 # pilot, block, chain
         draws.append(y.transpose(1, 0, 2).reshape(200, 8))
     samples = np.concatenate(draws, axis=0)      # (2000, pilots*chains)
@@ -140,18 +138,18 @@ def test_operator_logical_shape_default_geometry():
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(64), 3),
-                                build_grid(ArrayGeometry(8), 3), default_cfg())
-    assert op.shape == (5120, 4608)
+                                build_grid(ArrayGeometry(8), 3))
+    assert op.shape == (512, 4608)
+    assert replace(op, n_pilots=10).shape == (5120, 4608)
 
 
 def small_operator(seed=4):
     rng = np.random.default_rng(seed)
     tx = random_codebook(16, 8, 1, 6, rng)
     rx = random_codebook(4, 2, 2, 6, rng)
-    cfg = SweepConfig(n_pilots=3)
     op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(16), 2),
-                                build_grid(ArrayGeometry(4), 2), cfg)
-    return op
+                                build_grid(ArrayGeometry(4), 2))
+    return replace(op, n_pilots=3)
 
 
 def test_operator_apply_matches_dense():
@@ -197,10 +195,9 @@ def test_operator_reduces_to_grid_kronecker_for_identity_beams():
     n_tx, n_rx = 8, 4
     tx = raw_codebook(np.stack([np.eye(n_tx)[:, [i]] for i in range(n_tx)]))
     rx = raw_codebook(np.eye(n_rx)[None])
-    cfg = SweepConfig(n_pilots=1)
     tx_grid = build_grid(ArrayGeometry(n_tx), 2)
     rx_grid = build_grid(ArrayGeometry(n_rx), 2)
-    op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
+    op = build_sensing_operator(tx, rx, tx_grid, rx_grid)
     want = np.kron(tx_grid.atoms.conj(), rx_grid.atoms)
     assert np.max(np.abs(to_dense(op) - want)) < 1e-12
 
@@ -223,7 +220,7 @@ def test_parallel_columns_marks_aliased_transmit_bins(kind, n_ant, marked):
     # 381 and 208 pairs
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     op = build_sensing_operator(tx_codebook(kind, n_ant), rx, build_grid(ArrayGeometry(n_ant), 3),
-                                build_grid(ArrayGeometry(8), 3), default_cfg())
+                                build_grid(ArrayGeometry(8), 3))
     mask = parallel_columns(op.tx_factor)
     assert mask.shape == (op.n_tx_bins,) and mask.sum() == marked
     assert not parallel_columns(op.rx_factor).any()
@@ -258,9 +255,9 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     rng = np.random.default_rng(3)
     tx = random_codebook(16, 12, 1, 6, rng)
     rx = random_codebook(8, 2, 3, 6, rng)
-    cfg = SweepConfig(n_pilots=4, noise_var=0.0)
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, cfg, np.random.default_rng(0))
-    op = build_sensing_operator(tx, rx, tx_grid, rx_grid, cfg)
+    cfg = SweepConfig(n_pilots=4)
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+    op = replace(build_sensing_operator(tx, rx, tx_grid, rx_grid), n_pilots=4)
     h = np.zeros(op.shape[1], dtype=complex)
     for g, (bt, br) in zip(gains, bins):
         h[bt * op.n_rx_bins + br] += ch.gain_scale * g
@@ -271,11 +268,8 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(n_pilots=0)
-    with pytest.raises(ValueError):
-        SweepConfig(noise_var=-1.0)
-    nan, inf = float("nan"), float("inf")
-    for kw, field in ((dict(noise_var=nan), "noise_var"), (dict(noise_var=inf), "noise_var"),
-                      (dict(n_fft=0), "n_fft"), (dict(n_pilots=20, n_fft=8), "n_fft"),
+    nan = float("nan")
+    for kw, field in ((dict(n_fft=0), "n_fft"), (dict(n_pilots=20, n_fft=8), "n_fft"),
                       (dict(sample_rate=-1.0), "sample_rate"),
                       (dict(sample_rate=nan), "sample_rate")):
         with pytest.raises(ValueError, match=field):
