@@ -4,9 +4,11 @@ Two detectors over the same acquisition: exhaustive energy ranking over
 (tx entry, combiner column) pairs, and sparse recovery on the grid-domain
 operator followed by bin-to-beam rounding. Sparse recovery is orthogonal
 matching pursuit with a fixed iteration count (the nominal path count);
-each iteration re-fits all selected coefficients by least squares. Every
-pilot sees the same operator block, so unless that block has parallel
-columns the fit runs on one block against the pilot mean.
+each iteration re-fits all selected coefficients by least squares, solved
+on the Gram matrix of the support, and updates the correlations from one
+Gram column instead of applying the adjoint again. Every pilot sees the
+same operator block, so unless that block has parallel columns the fit
+runs on one block against the pilot mean.
 
 Beam indexing everywhere is DFT order (`arrays.beam_sin_values`), so
 index differences are circular.
@@ -87,17 +89,58 @@ def exhaustive_search(y: np.ndarray, n_pairs: int) -> DetectionOutcome:
 
 
 def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
-    """Orthogonal matching pursuit with column-normalized selection.
+    """Orthogonal matching pursuit with column-normalized selection, run on
+    the correlations A^H r rather than on the residual r.
 
-    op is a SensingOperator or any object with the four members omp reads:
-    shape, col_norms(), adjoint_apply(r) and column(g). Selection maximizes
-    |column^H residual| / ||column||, previously selected columns
-    excluded. Bit-equal scores go to the lower index. Columns that alias
-    in the transmit factor (multi-beam codebooks) score equal only up to
-    rounding, so among those rounding, not the index, picks the winner.
-    If the selected columns go rank deficient the least-squares step
-    falls back to a ridge solve with 1e-12 * (max column norm)^2 and the
-    result is flagged.
+    op is a SensingOperator or any object with the five members omp reads:
+    shape, col_norms(), adjoint_apply(r), column(g) and gram_column(g) =
+    A^H a_g. The adjoint is applied once, c0 = A^H y. Each pick adds the
+    Gram column of the picked bin, the coefficients x of the support S
+    solve G_SS x = c0[S], and the correlations are c0 - x G_S. Selection
+    maximizes |correlation| / ||column||, previously selected columns
+    excluded; bit-equal scores go to the lower index. If G_SS is
+    numerically singular (rank below len(S) at numpy's default tolerance)
+    the solve adds 1e-12 * (max column norm)^2 to its diagonal and the
+    result is flagged. The residual y - A_S x is formed once, at the end.
+    """
+    if sparsity < 1 or sparsity > op.shape[1]:
+        raise ValueError("sparsity must lie in [1, n_columns]")
+    norms = op.col_norms()
+    safe_norms = np.where(norms > 0.0, norms, np.inf)
+    ridge = 1e-12 * float(norms.max()) ** 2
+
+    y = np.asarray(y, dtype=complex)
+    c0 = op.adjoint_apply(y)
+    corr = c0
+    support: list[int] = []
+    # row i holds A^H a_g of the i-th pick g, so gram[:i + 1, S].T is G_SS
+    gram = np.empty((sparsity, op.shape[1]), dtype=complex)
+    flagged = False
+    for i in range(sparsity):
+        scores = np.abs(corr) / safe_norms
+        scores[support] = -1.0
+        support.append(int(np.argmax(scores)))
+        gram[i] = op.gram_column(support[-1])
+        g_ss = gram[:i + 1, support].T
+        eig = np.abs(np.linalg.eigvalsh(g_ss))
+        if eig.min() <= eig.max() * len(support) * np.finfo(float).eps:
+            g_ss = g_ss + ridge * np.eye(len(support))
+            flagged = True
+        coef = np.linalg.solve(g_ss, c0[support])
+        corr = c0 - coef @ gram[:i + 1]
+    a = np.stack([op.column(g) for g in support], axis=1)
+    return OmpResult(tuple(support), coef, y - a @ coef, flagged)
+
+
+def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
+    """The residual-domain OMP that `cs_detect` runs on aliased operators:
+    one adjoint and one least-squares fit per pick.
+
+    Among an aliased operator's parallel columns rounding, not the index,
+    picks the winner, and the recorded results follow this loop's
+    rounding, so it stays until those columns are masked. If the selected
+    columns go rank deficient the least-squares step falls back to a ridge
+    solve with 1e-12 * (max column norm)^2 and the result is flagged.
     """
     if sparsity < 1 or sparsity > op.shape[1]:
         raise ValueError("sparsity must lie in [1, n_columns]")
@@ -144,8 +187,9 @@ def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int
     same least-squares fit. Every OMP score is scaled by sqrt(n_pilots),
     and the ranking and the coefficients agree with the stacked fit in
     exact arithmetic. An aliased op (see `SensingOperator`) is stacked
-    over y's pilots and fitted on the flattened measurement instead,
-    because among its parallel columns rounding picks the winner.
+    over y's pilots and fitted on the flattened measurement by
+    `_stacked_omp` instead, because among its parallel columns rounding
+    picks the winner and the recorded picks follow that loop's rounding.
 
     Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bins
     round to beams, and the first n_pairs distinct pairs by coefficient
@@ -158,7 +202,7 @@ def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int
         raise ValueError("n_pairs must be positive")
     if op.aliased:
         op = replace(op, n_pilots=y.shape[0])
-        result = omp(op, y.reshape(-1), sparsity)
+        result = _stacked_omp(op, y.reshape(-1), sparsity)
     else:
         result = omp(op, y.mean(axis=0).reshape(-1), sparsity)
 

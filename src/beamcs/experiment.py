@@ -128,7 +128,8 @@ class ExperimentConfig:
         if {METHOD_ES, METHOD_OMP_DFT} & set(self.methods) and self.n_tx_entries > self.n_ant_bs:
             raise ValueError("ES and OMP-DFT use a DFT tx codebook: n_tx_entries ≤ n_ant_bs")
         if METHOD_ES in self.methods and self.n_tx_entries < self.n_tx_beams:
-            raise ValueError("exhaustive search requires M_BS ≥ n_tx_beams")
+            raise ValueError("exhaustive search requires one sweep entry per transmit beam: "
+                             "n_tx_entries ≥ n_ant_bs")
         omp_methods = [m for m in self.methods if m != METHOD_ES]
         if omp_methods and (self.n_ant_ue * self.rx_grid_mult) % self.n_rx_beams:
             raise ValueError("%s requires n_ant_ue * rx_grid_mult to be a multiple of "

@@ -104,7 +104,7 @@ class SensingOperator:
     tx_factor = X^T conj(A_tx_grid), rx_factor = W^H A_rx_grid. Every pilot
     sees this block (frequency-flat beams); n_pilots stacks it, which only
     `cs_detect` does. The adjoint reduces to two small matrix products per
-    call and a column to one outer product.
+    call, and a column and a Gram column each to one outer product.
 
     aliased is True when either factor has two exactly parallel columns
     (`parallel_columns`), as the multi-beam transmit factor has at 128 and
@@ -140,6 +140,14 @@ class SensingOperator:
         gt, gr = divmod(g, self.n_rx_bins)
         block = np.outer(self.tx_factor[:, gt], self.rx_factor[:, gr]).reshape(-1)
         return np.broadcast_to(block, (self.n_pilots, block.size)).reshape(-1)
+
+    def gram_column(self, g: int) -> np.ndarray:
+        """A^H a_g, the Gram column of bin g: the Kronecker product of the
+        two factors' Gram columns, times the pilot count."""
+        gt, gr = divmod(g, self.n_rx_bins)
+        t = np.conj(self.tx_factor[:, gt].conj() @ self.tx_factor)
+        r = np.conj(self.rx_factor[:, gr].conj() @ self.rx_factor)
+        return np.outer(self.n_pilots * t, r).reshape(-1)
 
     def col_norms(self) -> np.ndarray:
         tn = np.linalg.norm(self.tx_factor, axis=0)

@@ -8,7 +8,7 @@ from beamcs.sweep import SensingOperator
 
 
 class DenseOperator:
-    """A plain dense matrix with the four members omp reads."""
+    """A plain dense matrix with the five members omp reads."""
 
     def __init__(self, a: np.ndarray):
         self.a = np.asarray(a)
@@ -19,6 +19,9 @@ class DenseOperator:
 
     def column(self, g):
         return self.a[:, g]
+
+    def gram_column(self, g):
+        return self.a.conj().T @ self.a[:, g]
 
     def col_norms(self):
         return np.linalg.norm(self.a, axis=0)

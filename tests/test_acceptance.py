@@ -18,6 +18,7 @@ from beamcs.codebooks import (designed_codebook, dft_codebook, group_columns,
                               multi_beam_dft_codebook, total_coherence)
 from beamcs.detect import (BeamPair, beam_sin_values, cs_detect, exhaustive_search, omp,
                            true_pairs)
+from beamcs import experiment
 from beamcs.experiment import (ExperimentConfig, _TAG_CHANNEL, _TAG_DESIGN, _seed,
                                emit_csv, run_experiment)
 from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
@@ -158,25 +159,38 @@ def test_criterion_4_tx_floor(default_run, strongest_positions):
 
 
 @pytest.fixture(scope="module")
-def scaling_codebooks():
-    out = {}
-    for n in (128, 256):
-        grid = build_grid(ArrayGeometry(n), 3)
-        mb = multi_beam_dft_codebook(n, 64, 6)
-        rng = np.random.default_rng(_seed(12345, _TAG_DESIGN, n))
-        dz = designed_codebook(n, grid, 64, 6, rng, sweeps=200)
-        out[n] = (total_coherence(mb, grid), total_coherence(dz, grid))
+def scaling_runs():
+    """p_all per method at 64 and 256 antennas, and the designed codebook
+    each run built, keyed by antenna count under "designed"."""
+    out = {"designed": {}}
+
+    def capture(*args, **kwargs):
+        cb = designed_codebook(*args, **kwargs)
+        out["designed"][cb.n_ant] = cb
+        return cb
+
+    for n in (64, 256):
+        cfg = ExperimentConfig(n_ant_bs=n, snr_db=(20.0,), n_trials=500,
+                               methods=("OMP-MultiBeam", "OMP-Designed"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "designed_codebook", capture)
+            _, stats = run_experiment(cfg)
+        out[n] = {m: stats[(20.0, m)].p_all for m in cfg.methods}
     return out
 
 
 @pytest.fixture(scope="module")
-def scaling_runs():
+def scaling_codebooks(scaling_runs):
+    # 256 antennas: the designed codebook that the scaling run built
+    designed = dict(scaling_runs["designed"])
+    rng = np.random.default_rng(_seed(12345, _TAG_DESIGN, 128))
+    designed[128] = designed_codebook(128, build_grid(ArrayGeometry(128), 3), 64, 6, rng,
+                                      sweeps=200)
     out = {}
-    for n in (64, 256):
-        cfg = ExperimentConfig(n_ant_bs=n, snr_db=(20.0,), n_trials=500,
-                               methods=("OMP-MultiBeam", "OMP-Designed"))
-        _, stats = run_experiment(cfg)
-        out[n] = {m: stats[(20.0, m)].p_all for m in cfg.methods}
+    for n in (128, 256):
+        grid = build_grid(ArrayGeometry(n), 3)
+        mb = multi_beam_dft_codebook(n, 64, 6)
+        out[n] = (total_coherence(mb, grid), total_coherence(designed[n], grid))
     return out
 
 

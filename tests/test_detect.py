@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from beamcs import detect
 from beamcs.arrays import ArrayGeometry, build_grid
 from beamcs.channel import ChannelParams, ChannelRealization, PathComponent, sample_channel
-from beamcs.codebooks import dft_codebook, group_columns, multi_beam_dft_codebook, random_codebook
+from beamcs.codebooks import (designed_codebook, dft_codebook, group_columns,
+                              multi_beam_dft_codebook, random_codebook)
 from beamcs.detect import (BeamPair, beam_index_errors, beam_sin_values, cs_detect,
                            exhaustive_search, omp, signed_circular_diff, true_pairs)
 from beamcs.metrics import single_beam_match
@@ -175,6 +176,33 @@ def test_omp_duplicate_columns_trigger_ridge_flag():
     assert res.ridge_flagged
 
 
+def test_gram_omp_matches_the_residual_loop_on_one_block():
+    # omp updates the correlations from Gram columns and solves the Gram
+    # system; _stacked_omp applies the adjoint and runs lstsq on every pick
+    rng = np.random.default_rng(21)
+    rx = group_columns(dft_codebook(8, 8, 6), 4)
+    grid = build_grid(ArrayGeometry(64), 3)
+    txs = (dft_codebook(64, 64, 6), random_codebook(64, 64, 1, 6, rng),
+           designed_codebook(64, grid, 64, 6, rng, sweeps=2))
+    snrs = np.arange(-30.0, 35.0, 5.0)
+    for tx in txs:
+        op = build_sensing_operator(tx, rx, grid, build_grid(ArrayGeometry(8), 3))
+        assert not op.aliased
+        for seed in range(3):
+            ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
+                                np.random.default_rng(seed))
+            signal = sweep_signal(ch, tx, rx, SweepConfig())
+            for snr_db in snrs:
+                y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
+                            np.random.default_rng(200 + seed)).mean(axis=0).reshape(-1)
+                got, want = omp(op, y, 6), detect._stacked_omp(op, y, 6)
+                assert got.support == want.support
+                assert_allclose(got.coefficients, want.coefficients, rtol=1e-9)
+                assert_allclose(got.residual, want.residual, rtol=0,
+                                atol=1e-9 * np.abs(y).max())
+                assert not got.ridge_flagged and not want.ridge_flagged
+
+
 def test_omp_rejects_bad_sparsity():
     a = DenseOperator(np.eye(4))
     with pytest.raises(ValueError):
@@ -280,18 +308,19 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
                                 build_grid(ArrayGeometry(8), 3))
     assert op.aliased
     fits = []
+    stacked_omp = detect._stacked_omp
 
     def recorded_omp(*args):
-        fits.append(omp(*args))
+        fits.append(stacked_omp(*args))
         return fits[-1]
 
-    monkeypatch.setattr(detect, "omp", recorded_omp)
+    monkeypatch.setattr(detect, "_stacked_omp", recorded_omp)
     for seed in range(3):
         ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
                             np.random.default_rng(seed))
         y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.01, np.random.default_rng(50 + seed))
         out = cs_detect(op, y, sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)
-        want = omp(replace(op, n_pilots=10), y.reshape(-1), 6)
+        want = stacked_omp(replace(op, n_pilots=10), y.reshape(-1), 6)
         assert out.support == want.support == fits[-1].support
         assert np.array_equal(fits[-1].coefficients, want.coefficients)
 

@@ -357,7 +357,8 @@ def test_main_cli_rejects_es_with_large_array(tmp_path, capsys):
                  "--out", str(tmp_path / "res")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "exhaustive search requires" in err
+    assert err == ("error: exhaustive search requires one sweep entry per transmit beam: "
+                   "n_tx_entries ≥ n_ant_bs\n")
 
 
 def test_main_cli_rejects_bad_snr(tmp_path, capsys):

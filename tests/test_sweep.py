@@ -182,6 +182,15 @@ def test_operator_columns_and_norms_match_dense():
         assert_allclose(op.column(g), dense[:, g], atol=1e-14)
 
 
+def test_operator_gram_column_matches_dense():
+    for n_pilots in (1, 2):
+        op = replace(small_operator(), n_pilots=n_pilots)
+        dense = to_dense(op)
+        for g in range(op.shape[1]):
+            want = dense.conj().T @ dense[:, g]
+            assert_allclose(op.gram_column(g), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_operator_column_is_the_tiled_kronecker_column_bitwise():
     op = small_operator()
     tx, rx = op.tx_factor, op.rx_factor
