@@ -40,11 +40,13 @@ es = exhaustive_search(y, n_pairs=len(truth))
 print("ES estimates: ", list(es.estimated))
 
 # sparse recovery sees the same measurements through the sensing operator,
-# one pilot block that every pilot shares; cs_detect fits it to the pilot mean
+# one pilot block that every pilot shares; cs_detect fits it to the pilot mean.
+# It takes any number of measurements of one sweep (the experiment passes one
+# per SNR point, fitted together) and returns one outcome for each
 op = build_sensing_operator(tx_cb, rx_cb, build_grid(bs, 3), build_grid(ue, 3))
 print("operator shape (one pilot block):", op.shape)
 
-cs = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=len(truth))
+cs = cs_detect(op, [y], sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=len(truth))[0]
 print("OMP estimates:", list(cs.estimated))
 print("OMP support bins:", cs.support)
 

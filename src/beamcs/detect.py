@@ -5,10 +5,11 @@ Two detectors over the same acquisition: exhaustive energy ranking over
 operator followed by bin-to-beam rounding. Sparse recovery is orthogonal
 matching pursuit with a fixed iteration count (the nominal path count);
 each iteration re-fits all selected coefficients by least squares, solved
-on the Gram matrix of the support, and updates the correlations from one
-Gram column instead of applying the adjoint again. Every pilot sees the
-same operator block, so unless that block has parallel columns the fit
-runs on one block against the pilot mean.
+on the Gram matrix of the support, and updates the correlations from the
+Kronecker factors of one Gram column instead of applying the adjoint
+again. Every pilot sees the same operator block, so unless that block has
+parallel columns the fit runs on one block against the pilot mean, and
+all SNR points of one sweep are fitted by one batched call.
 
 Beam indexing everywhere is DFT order (`arrays.beam_sin_values`), so
 index differences are circular.
@@ -42,7 +43,7 @@ class OmpResult:
     support: tuple
     coefficients: np.ndarray
     residual: np.ndarray
-    ridge_flagged: bool
+    ridge_flagged: bool | tuple  # the flagged rows' indices when omp fits a stack
 
 
 def _circular_sin_distance(beam_sins: np.ndarray, sin_value: float) -> np.ndarray:
@@ -88,20 +89,25 @@ def exhaustive_search(y: np.ndarray, n_pairs: int) -> DetectionOutcome:
     return DetectionOutcome(estimated=est)
 
 
-def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
+def omp(op: SensingOperator, y: np.ndarray, sparsity: int) -> OmpResult:
     """Orthogonal matching pursuit with column-normalized selection, run on
     the correlations A^H r rather than on the residual r.
 
-    op is a SensingOperator or any object with the five members omp reads:
-    shape, col_norms(), adjoint_apply(r), column(g) and gram_column(g) =
-    A^H a_g. The adjoint is applied once, c0 = A^H y. Each pick adds the
-    Gram column of the picked bin, the coefficients x of the support S
-    solve G_SS x = c0[S], and the correlations are c0 - x G_S. Selection
-    maximizes |correlation| / ||column||, previously selected columns
-    excluded; bit-equal scores go to the lower index. If G_SS is
+    y is one measurement of shape (rows,) or a stack of shape (n, rows);
+    each row is fitted on its own, and gets the same bits as when it is
+    fitted alone. The adjoint is applied once, c0 = A^H y. Each pick adds
+    the Gram column of the picked bin as its two Kronecker factors
+    (`SensingOperator.gram_factors`), the coefficients x of the support S
+    solve G_SS x = c0[S], and the correlations are c0 - (T_S^T diag x) R_S.
+    Selection maximizes |correlation| / ||column||, previously selected
+    columns excluded; bit-equal scores go to the lower index. If G_SS is
     numerically singular (rank below len(S) at numpy's default tolerance)
     the solve adds 1e-12 * (max column norm)^2 to its diagonal and the
     result is flagged. The residual y - A_S x is formed once, at the end.
+
+    For a stack, support and coefficients and residual gain a leading row
+    axis, and ridge_flagged is the tuple of the flagged rows (empty, so
+    false, when none was).
     """
     if sparsity < 1 or sparsity > op.shape[1]:
         raise ValueError("sparsity must lie in [1, n_columns]")
@@ -110,26 +116,50 @@ def omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     ridge = 1e-12 * float(norms.max()) ** 2
 
     y = np.asarray(y, dtype=complex)
-    c0 = op.adjoint_apply(y)
-    corr = c0
-    support: list[int] = []
-    # row i holds A^H a_g of the i-th pick g, so gram[:i + 1, S].T is G_SS
-    gram = np.empty((sparsity, op.shape[1]), dtype=complex)
-    flagged = False
+    ys = y.reshape(-1, op.shape[0])
+    n = ys.shape[0]
+    c0 = op.adjoint_apply(ys)
+    support = np.empty((n, sparsity), dtype=np.intp)
+    # pick j of row b has the Gram column kron(t[b, j], r[b, j])
+    t = np.empty((n, sparsity, op.n_tx_bins), dtype=complex)
+    r = np.empty((n, sparsity, op.n_rx_bins), dtype=complex)
+    flagged = np.zeros(n, dtype=bool)
+    rows = np.arange(n)[:, None, None]
+    # the only n_bins-wide work, done one row at a time in these two buffers
+    corr = np.empty((op.n_tx_bins, op.n_rx_bins), dtype=complex)
+    scores = np.empty(op.shape[1])
     for i in range(sparsity):
-        scores = np.abs(corr) / safe_norms
-        scores[support] = -1.0
-        support.append(int(np.argmax(scores)))
-        gram[i] = op.gram_column(support[-1])
-        g_ss = gram[:i + 1, support].T
+        for b in range(n):
+            if i:
+                np.matmul(t[b, :i].T * coef[b], r[b, :i], out=corr)
+                np.subtract(c0[b].reshape(corr.shape), corr, out=corr)
+            np.abs(corr.reshape(-1) if i else c0[b], out=scores)
+            scores /= safe_norms
+            scores[support[b, :i]] = -1.0
+            support[b, i] = np.argmax(scores)
+        t[:, i], r[:, i] = op.gram_factors(support[:, i])
+        st, sr = np.divmod(support[:, :i + 1, None], op.n_rx_bins)
+        # g_ss[b, a, j] = t[b, j, st[b, a]] * r[b, j, sr[b, a]], the entry of
+        # A^H a_(S_j) at S_a
+        j = np.arange(i + 1)
+        g_ss = t[rows, j, st] * r[rows, j, sr]
         eig = np.abs(np.linalg.eigvalsh(g_ss))
-        if eig.min() <= eig.max() * len(support) * np.finfo(float).eps:
-            g_ss = g_ss + ridge * np.eye(len(support))
-            flagged = True
-        coef = np.linalg.solve(g_ss, c0[support])
-        corr = c0 - coef @ gram[:i + 1]
-    a = np.stack([op.column(g) for g in support], axis=1)
-    return OmpResult(tuple(support), coef, y - a @ coef, flagged)
+        low = eig.min(axis=1) <= eig.max(axis=1) * (i + 1) * np.finfo(float).eps
+        if low.any():
+            g_ss[low] += ridge * np.eye(i + 1)
+            flagged |= low
+        coef = np.linalg.solve(g_ss, c0[rows, support[:, :i + 1, None]])[..., 0]
+    del c0  # the residual's columns would otherwise raise the peak memory
+    st, sr = np.divmod(support, op.n_rx_bins)
+    # cols[b, :, j] is the one-block column of pick j of row b
+    cols = np.multiply(op.tx_factor[:, st].transpose(1, 0, 2)[:, :, None],
+                       op.rx_factor[:, sr].transpose(1, 0, 2)[:, None], order="C")
+    fit = (cols.reshape(n, -1, sparsity) @ coef[..., None])[..., 0]
+    residual = (ys.reshape(n, op.n_pilots, -1) - fit[:, None]).reshape(n, -1)
+    if y.ndim == 1:
+        return OmpResult(tuple(support[0].tolist()), coef[0], residual[0], bool(flagged[0]))
+    return OmpResult(tuple(map(tuple, support.tolist())), coef, residual,
+                     tuple(np.flatnonzero(flagged).tolist()))
 
 
 def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
@@ -178,18 +208,22 @@ def _bin_to_beam(g_bin: int, n_bins: int, n_beams: int) -> int:
     return int(math.floor(g_bin * n_beams / n_bins + 0.5)) % n_beams
 
 
-def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int,
-              n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
-    """Sparse-recovery detector.
+def cs_detect(op: SensingOperator, ys, sparsity: int, n_tx_beams: int,
+              n_rx_beams: int, n_pairs: int) -> list:
+    """Sparse-recovery detector; one `DetectionOutcome` per measurement of
+    the iterable ys, in order.
 
-    op is one pilot block. Runs omp on the pilot mean of y against it:
-    the operator stacked over the pilots repeats that block, so this is the
-    same least-squares fit. Every OMP score is scaled by sqrt(n_pilots),
-    and the ranking and the coefficients agree with the stacked fit in
-    exact arithmetic. An aliased op (see `SensingOperator`) is stacked
-    over y's pilots and fitted on the flattened measurement by
-    `_stacked_omp` instead, because among its parallel columns rounding
-    picks the winner and the recorded picks follow that loop's rounding.
+    op is one pilot block. The pilot means of all of ys are fitted by one
+    batched omp call against it: the operator stacked over the pilots
+    repeats that block, so this is the same least-squares fit. Every OMP
+    score is scaled by sqrt(n_pilots), and the ranking and the
+    coefficients agree with the stacked fit in exact arithmetic. ys is
+    read once, so a generator keeps one full measurement live at a time.
+    An aliased op (see `SensingOperator`) is stacked over each
+    measurement's pilots and fitted on the flattened measurement by
+    `_stacked_omp` instead, one measurement at a time, because among its
+    parallel columns rounding picks the winner and the recorded picks
+    follow that loop's rounding.
 
     Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bins
     round to beams, and the first n_pairs distinct pairs by coefficient
@@ -198,14 +232,23 @@ def cs_detect(op: SensingOperator, y: np.ndarray, sparsity: int, n_tx_beams: int
     """
     if op.n_tx_bins % n_tx_beams or op.n_rx_bins % n_rx_beams:
         raise ValueError("grid sizes must be multiples of the beam counts")
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be positive")
+    if not 1 <= n_pairs <= n_tx_beams * n_rx_beams:
+        raise ValueError("n_pairs must lie in [1, %d]" % (n_tx_beams * n_rx_beams))
     if op.aliased:
-        op = replace(op, n_pilots=y.shape[0])
-        result = _stacked_omp(op, y.reshape(-1), sparsity)
+        fits = []
+        for y in ys:
+            stacked = replace(op, n_pilots=y.shape[0])
+            fits.append((stacked, _stacked_omp(stacked, y.reshape(-1), sparsity)))
     else:
-        result = omp(op, y.mean(axis=0).reshape(-1), sparsity)
+        batch = omp(op, np.stack([y.mean(axis=0).reshape(-1) for y in ys]), sparsity)
+        fits = [(op, OmpResult(*row, b in batch.ridge_flagged)) for b, row in
+                enumerate(zip(batch.support, batch.coefficients, batch.residual))]
+    return [_rank_pairs(fit_op, result, n_tx_beams, n_rx_beams, n_pairs)
+            for fit_op, result in fits]
 
+
+def _rank_pairs(op: SensingOperator, result: OmpResult, n_tx_beams: int, n_rx_beams: int,
+                n_pairs: int) -> DetectionOutcome:
     def to_pair(g: int) -> BeamPair:
         gt, gr = divmod(int(g), op.n_rx_bins)
         return BeamPair(_bin_to_beam(gt, op.n_tx_bins, n_tx_beams),

@@ -9,7 +9,8 @@ from (master, 4, n_ant_bs). Results are therefore byte-identical for any
 worker count: channels are shared across SNR points and methods (paired
 comparison), and aggregation sorts by (trial, snr, method) before any
 output is written. The noiseless sweep of each (trial, method) is built
-once and shared across SNR points; each SNR point only adds its noise.
+once and shared across SNR points; each SNR point only adds its noise,
+and the detector reads the SNR points of one (trial, method) together.
 
 Every detector is told n_pairs = len(truth), the number of distinct true
 beam pairs of the trial, and reports that many pairs. p_all and p_single
@@ -210,15 +211,16 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
             rx_cb = assets["rx_dft"]
             op = assets["op"].get(method)
         signal = sweep_signal(ch, tx_cb, rx_cb, cfg.sweep)
-        for snr in cfg.snr_db:
-            noise_rng = np.random.default_rng(
-                _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), mid))
-            y = acquire(signal, rx_cb, 10.0 ** (-snr / 10.0), noise_rng)
-            if method == METHOD_ES:
-                out = exhaustive_search(y, n_pairs)
-            else:
-                out = cs_detect(op, y, cfg.effective_sparsity,
-                                cfg.n_tx_beams, cfg.n_rx_beams, n_pairs)
+        # one measurement per SNR point, drawn as the detector reads it
+        ys = (acquire(signal, rx_cb, 10.0 ** (-snr / 10.0), np.random.default_rng(
+                  _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), mid)))
+              for snr in cfg.snr_db)
+        if method == METHOD_ES:
+            outcomes = [exhaustive_search(y, n_pairs) for y in ys]
+        else:
+            outcomes = cs_detect(op, ys, cfg.effective_sparsity,
+                                 cfg.n_tx_beams, cfg.n_rx_beams, n_pairs)
+        for snr, out in zip(cfg.snr_db, outcomes):
             tx_err, rx_err = beam_index_errors(out.estimated, truth,
                                                cfg.n_tx_beams, cfg.n_rx_beams)
             records.append(TrialRecord(t, float(snr), method,

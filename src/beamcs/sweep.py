@@ -104,7 +104,9 @@ class SensingOperator:
     tx_factor = X^T conj(A_tx_grid), rx_factor = W^H A_rx_grid. Every pilot
     sees this block (frequency-flat beams); n_pilots stacks it, which only
     `cs_detect` does. The adjoint reduces to two small matrix products per
-    call, and a column and a Gram column each to one outer product.
+    call, whatever the number of leading axes; a column is one outer
+    product, and a Gram column A^H a_g is kept as its two Kronecker factors
+    (`gram_factors`), never as one n_bins-long row.
 
     aliased is True when either factor has two exactly parallel columns
     (`parallel_columns`), as the multi-beam transmit factor has at 128 and
@@ -130,24 +132,32 @@ class SensingOperator:
         return (rows, self.n_tx_bins * self.n_rx_bins)
 
     def adjoint_apply(self, r: np.ndarray) -> np.ndarray:
-        rows = self.tx_factor.shape[0] * self.rx_factor.shape[0]
-        acc = np.reshape(r, (self.n_pilots, rows)).sum(axis=0)
-        rm = np.reshape(acc, (self.rx_factor.shape[0], self.tx_factor.shape[0]), order="F")
-        g = self.rx_factor.conj().T @ rm @ self.tx_factor.conj()
-        return g.reshape(-1, order="F")
+        """A^H r over the last axis of r; leading axes are kept.
+
+        The receive side is contracted first, and the result comes out in
+        bin order (tx bin major).
+        """
+        n_tx, n_rx = self.tx_factor.shape[0], self.rx_factor.shape[0]
+        lead = np.shape(r)[:-1]
+        acc = np.reshape(r, lead + (self.n_pilots, n_tx, n_rx)).sum(axis=-3)
+        g = self.tx_factor.conj().T @ (acc @ self.rx_factor.conj())
+        return g.reshape(lead + (-1,))
 
     def column(self, g: int) -> np.ndarray:
         gt, gr = divmod(g, self.n_rx_bins)
         block = np.outer(self.tx_factor[:, gt], self.rx_factor[:, gr]).reshape(-1)
         return np.broadcast_to(block, (self.n_pilots, block.size)).reshape(-1)
 
-    def gram_column(self, g: int) -> np.ndarray:
-        """A^H a_g, the Gram column of bin g: the Kronecker product of the
-        two factors' Gram columns, times the pilot count."""
-        gt, gr = divmod(g, self.n_rx_bins)
-        t = np.conj(self.tx_factor[:, gt].conj() @ self.tx_factor)
-        r = np.conj(self.rx_factor[:, gr].conj() @ self.rx_factor)
-        return np.outer(self.n_pilots * t, r).reshape(-1)
+    def gram_factors(self, g: np.ndarray) -> tuple:
+        """Kronecker factors (t, r) of the Gram columns of the bins g, one
+        row each: A^H a_g[i] = kron(t[i], r[i]). t carries the pilot
+        count."""
+        gt, gr = np.divmod(g, self.n_rx_bins)
+        # one vector-matrix product per bin, so a row does not depend on
+        # how many bins are asked for at once
+        t = np.conj(self.tx_factor.T[gt].conj()[:, None] @ self.tx_factor)[:, 0]
+        r = np.conj(self.rx_factor.T[gr].conj()[:, None] @ self.rx_factor)[:, 0]
+        return self.n_pilots * t, r
 
     def col_norms(self) -> np.ndarray:
         tn = np.linalg.norm(self.tx_factor, axis=0)

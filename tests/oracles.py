@@ -7,24 +7,10 @@ from beamcs.codebooks import _phasor_table, _quantize_indices
 from beamcs.sweep import SensingOperator
 
 
-class DenseOperator:
-    """A plain dense matrix with the five members omp reads."""
-
-    def __init__(self, a: np.ndarray):
-        self.a = np.asarray(a)
-        self.shape = self.a.shape
-
-    def adjoint_apply(self, r):
-        return self.a.conj().T @ r
-
-    def column(self, g):
-        return self.a[:, g]
-
-    def gram_column(self, g):
-        return self.a.conj().T @ self.a[:, g]
-
-    def col_norms(self):
-        return np.linalg.norm(self.a, axis=0)
+def DenseOperator(a: np.ndarray) -> SensingOperator:
+    """A plain dense matrix as a Kronecker operator with a 1 x 1 receive
+    factor, so that omp reads it like any sensing operator."""
+    return SensingOperator(np.asarray(a), np.ones((1, 1)), aliased=False)
 
 
 def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:

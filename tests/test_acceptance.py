@@ -317,7 +317,7 @@ def test_criterion_7_noiseless_on_grid_end_to_end():
         truth = true_pairs(ch, 64, 8)
         assert truth == {BeamPair(bt, br)}
         y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, 0.0, np.random.default_rng(t))
-        hits_cs += set(cs_detect(op, y, 1, 64, 8, 1).estimated) == truth
+        hits_cs += set(cs_detect(op, [y], 1, 64, 8, 1)[0].estimated) == truth
         hits_es += set(exhaustive_search(y, 1).estimated) == truth
     print("criterion 7: noiseless on-grid p_all OMP-DFT %d/100, ES %d/100 (need 100)"
           % (hits_cs, hits_es))

@@ -203,6 +203,50 @@ def test_gram_omp_matches_the_residual_loop_on_one_block():
                 assert not got.ridge_flagged and not want.ridge_flagged
 
 
+def test_batched_omp_rows_equal_the_rows_fitted_alone_bitwise():
+    # the 13 SNR points of one sweep, as cs_detect stacks their pilot means
+    rng = np.random.default_rng(23)
+    rx = group_columns(dft_codebook(8, 8, 6), 4)
+    grid = build_grid(ArrayGeometry(64), 3)
+    txs = (dft_codebook(64, 64, 6), random_codebook(64, 64, 1, 6, rng),
+           designed_codebook(64, grid, 64, 6, rng, sweeps=2))
+    for tx in txs:
+        op = build_sensing_operator(tx, rx, grid, build_grid(ArrayGeometry(8), 3))
+        for seed in range(2):
+            ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
+                                np.random.default_rng(seed))
+            signal = sweep_signal(ch, tx, rx, SweepConfig())
+            ys = np.stack([acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
+                                   np.random.default_rng(300 + seed)).mean(axis=0).reshape(-1)
+                           for snr_db in np.arange(-30.0, 35.0, 5.0)])
+            batch = omp(op, ys, 6)
+            assert batch.coefficients.shape == (13, 6) and batch.residual.shape == ys.shape
+            assert batch.ridge_flagged == ()
+            for b, y in enumerate(ys):
+                alone = omp(op, y, 6)
+                assert batch.support[b] == alone.support
+                assert np.array_equal(batch.coefficients[b], alone.coefficients)
+                assert np.array_equal(batch.residual[b], alone.residual)
+
+
+def test_batched_omp_flags_only_the_row_that_takes_the_ridge():
+    # columns 0 and 1 are equal and orthogonal to column 2: the row equal
+    # to u picks both copies, every row v + c u picks column 2 second
+    u = np.array([1.0, 1.0, 0.0, 0.0])
+    v = np.array([0.0, 0.0, 1.0, -1.0])
+    op = DenseOperator(np.stack([u, u, v], axis=1))
+    ys = np.stack([v + 0.5 * b * u for b in range(13)]).astype(complex)
+    ys[6] = u
+    batch = omp(op, ys, 2)
+    assert batch.ridge_flagged == (6,)
+    assert batch.support[6] == (0, 1)
+    for b, y in enumerate(ys):
+        assert omp(op, y, 2).ridge_flagged == (b == 6)
+    outs = cs_detect(op, [y[None] for y in ys], sparsity=2, n_tx_beams=3, n_rx_beams=1,
+                     n_pairs=1)
+    assert [out.ridge_flagged for out in outs] == [b == 6 for b in range(13)]
+
+
 def test_omp_rejects_bad_sparsity():
     a = DenseOperator(np.eye(4))
     with pytest.raises(ValueError):
@@ -224,7 +268,7 @@ def test_cs_detect_on_grid_single_path():
         tx, rx, cfg, op = cs_setup(mult)
         ch = make_channel([on_beam_path(37, 2)])
         y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
-        out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
+        out = cs_detect(op, [y], sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)[0]
         assert out.estimated == (BeamPair(37, 2),)
         assert not out.ridge_flagged
 
@@ -233,7 +277,7 @@ def test_cs_detect_support_bin_arithmetic():
     tx, rx, cfg, op = cs_setup(3)
     ch = make_channel([on_beam_path(10, 6)])
     y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
-    out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)
+    out = cs_detect(op, [y], sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)[0]
     g = out.support[0]
     # bin splits as (tx_bin, rx_bin) with the rx grid minor
     assert (g // op.n_rx_bins, g % op.n_rx_bins) == (10 * 3, 6 * 3)
@@ -243,7 +287,7 @@ def test_cs_detect_pads_when_dedup_runs_short():
     tx, rx, cfg, op = cs_setup(1)
     ch = make_channel([on_beam_path(20, 4)])
     y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
-    out = cs_detect(op, y, sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
+    out = cs_detect(op, [y], sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=2)[0]
     assert len(out.estimated) == 2
     assert out.estimated[0] == BeamPair(20, 4)
     assert out.estimated[1] != out.estimated[0]
@@ -253,7 +297,7 @@ def test_cs_detect_two_separated_paths():
     tx, rx, cfg, op = cs_setup(3)
     ch = make_channel([on_beam_path(8, 1, gain=2.0), on_beam_path(50, 6, gain=1.0)])
     y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
-    out = cs_detect(op, y, sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
+    out = cs_detect(op, [y], sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=2)[0]
     assert set(out.estimated) == {BeamPair(8, 1), BeamPair(50, 6)}
     # stronger path carries the larger coefficient, so it ranks first
     assert out.estimated[0] == BeamPair(8, 1)
@@ -270,10 +314,20 @@ def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
         truth = true_pairs(ch, 64, 8)
         y = acquire(sweep_signal(ch, tx, rx, cfg), rx, noise_var,
                     np.random.default_rng(20_000 + t))
-        out = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8,
-                        n_pairs=len(truth))
+        out = cs_detect(op, [y], sparsity=6, n_tx_beams=64, n_rx_beams=8,
+                        n_pairs=len(truth))[0]
         hits += single_beam_match(out.estimated, truth)
     assert hits / n >= 0.99
+
+
+def test_cs_detect_rejects_more_pairs_than_beam_pairs():
+    op = DenseOperator(np.eye(4))
+    y = np.array([[4.0, 3.0, 2.0, 1.0]])
+    out = cs_detect(op, [y], sparsity=1, n_tx_beams=4, n_rx_beams=1, n_pairs=4)[0]
+    assert out.estimated == tuple(BeamPair(i, 0) for i in range(4))
+    for n_pairs in (0, 5):
+        with pytest.raises(ValueError, match=r"n_pairs must lie in \[1, 4\]"):
+            cs_detect(op, [y], sparsity=1, n_tx_beams=4, n_rx_beams=1, n_pairs=n_pairs)
 
 
 def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
@@ -296,7 +350,7 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
             for snr_db in (-10.0, 10.0, 30.0):
                 y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
                             np.random.default_rng(100 + seed))
-                out = cs_detect(op, y, sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=2)
+                out = cs_detect(op, [y], sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=2)[0]
                 assert out.support == omp(dense, y.reshape(-1), 6).support
 
 
@@ -319,7 +373,7 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
         ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
                             np.random.default_rng(seed))
         y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.01, np.random.default_rng(50 + seed))
-        out = cs_detect(op, y, sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)
+        out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)[0]
         want = stacked_omp(replace(op, n_pilots=10), y.reshape(-1), 6)
         assert out.support == want.support == fits[-1].support
         assert np.array_equal(fits[-1].coefficients, want.coefficients)

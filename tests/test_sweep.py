@@ -182,13 +182,35 @@ def test_operator_columns_and_norms_match_dense():
         assert_allclose(op.column(g), dense[:, g], atol=1e-14)
 
 
-def test_operator_gram_column_matches_dense():
+def test_operator_gram_factors_match_dense():
     for n_pilots in (1, 2):
         op = replace(small_operator(), n_pilots=n_pilots)
         dense = to_dense(op)
+        t, r = op.gram_factors(np.arange(op.shape[1]))
+        assert t.shape == (op.shape[1], op.n_tx_bins) and r.shape == (op.shape[1], op.n_rx_bins)
         for g in range(op.shape[1]):
             want = dense.conj().T @ dense[:, g]
-            assert_allclose(op.gram_column(g), want, rtol=0, atol=1e-12 * np.abs(want).max())
+            assert_allclose(np.kron(t[g], r[g]), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_operator_adjoint_of_a_stack_equals_the_row_calls_bitwise():
+    rng = np.random.default_rng(8)
+    rx = group_columns(dft_codebook(8, 8, 6), 4)
+    grid8 = build_grid(ArrayGeometry(8), 3)
+    ops = [small_operator()]
+    for tx in (dft_codebook(64, 64, 6), random_codebook(64, 64, 1, 6, rng)):
+        ops.append(build_sensing_operator(tx, rx, build_grid(ArrayGeometry(64), 3), grid8))
+    ops.append(build_sensing_operator(multi_beam_dft_codebook(128, 64, 6), rx,
+                                      build_grid(ArrayGeometry(128), 3), grid8))
+    assert ops[-1].aliased
+    for op in ops:
+        for n_pilots in (1, 10):
+            stacked = replace(op, n_pilots=n_pilots)
+            r = rng.standard_normal((13, stacked.shape[0], 2)).view(complex)[..., 0]
+            got = stacked.adjoint_apply(r)
+            assert got.shape == (13, op.shape[1])
+            for row, want in zip(got, r):
+                assert np.array_equal(row, stacked.adjoint_apply(want))
 
 
 def test_operator_column_is_the_tiled_kronecker_column_bitwise():
