@@ -9,7 +9,8 @@ on the Gram matrix of the support, and updates the correlations from the
 Kronecker factors of one Gram column instead of applying the adjoint
 again. Every pilot sees the same operator block, so unless that block has
 parallel columns the fit runs on one block against the pilot mean, and
-all SNR points of one sweep are fitted by one batched call.
+all SNR points of one sweep are fitted by one batched call. A fit returns
+no residual; `cs_detect` forms one only for its rare residual fill.
 
 Beam indexing everywhere is DFT order (`arrays.beam_sin_values`), so
 index differences are circular.
@@ -42,7 +43,6 @@ class DetectionOutcome:
 class OmpResult:
     support: tuple
     coefficients: np.ndarray
-    residual: np.ndarray
     ridge_flagged: bool | tuple  # the flagged rows' indices when omp fits a stack
 
 
@@ -103,11 +103,11 @@ def omp(op: SensingOperator, y: np.ndarray, sparsity: int) -> OmpResult:
     columns excluded; bit-equal scores go to the lower index. If G_SS is
     numerically singular (rank below len(S) at numpy's default tolerance)
     the solve adds 1e-12 * (max column norm)^2 to its diagonal and the
-    result is flagged. The residual y - A_S x is formed once, at the end.
+    result is flagged. The residual y - A_S x is never formed.
 
-    For a stack, support and coefficients and residual gain a leading row
-    axis, and ridge_flagged is the tuple of the flagged rows (empty, so
-    false, when none was).
+    For a stack, support and coefficients gain a leading row axis, and
+    ridge_flagged is the tuple of the flagged rows (empty, so false, when
+    none was).
     """
     if sparsity < 1 or sparsity > op.shape[1]:
         raise ValueError("sparsity must lie in [1, n_columns]")
@@ -149,16 +149,9 @@ def omp(op: SensingOperator, y: np.ndarray, sparsity: int) -> OmpResult:
             g_ss[low] += ridge * np.eye(i + 1)
             flagged |= low
         coef = np.linalg.solve(g_ss, c0[rows, support[:, :i + 1, None]])[..., 0]
-    del c0  # the residual's columns would otherwise raise the peak memory
-    st, sr = np.divmod(support, op.n_rx_bins)
-    # cols[b, :, j] is the one-block column of pick j of row b
-    cols = np.multiply(op.tx_factor[:, st].transpose(1, 0, 2)[:, :, None],
-                       op.rx_factor[:, sr].transpose(1, 0, 2)[:, None], order="C")
-    fit = (cols.reshape(n, -1, sparsity) @ coef[..., None])[..., 0]
-    residual = (ys.reshape(n, op.n_pilots, -1) - fit[:, None]).reshape(n, -1)
     if y.ndim == 1:
-        return OmpResult(tuple(support[0].tolist()), coef[0], residual[0], bool(flagged[0]))
-    return OmpResult(tuple(map(tuple, support.tolist())), coef, residual,
+        return OmpResult(tuple(support[0].tolist()), coef[0], bool(flagged[0]))
+    return OmpResult(tuple(map(tuple, support.tolist())), coef,
                      tuple(np.flatnonzero(flagged).tolist()))
 
 
@@ -200,7 +193,7 @@ def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
             coef = np.linalg.solve(gram, a.conj().T @ y)
             flagged = True
         residual = y - a @ coef
-    return OmpResult(tuple(support), coef, residual, flagged)
+    return OmpResult(tuple(support), coef, flagged)
 
 
 def _bin_to_beam(g_bin: int, n_bins: int, n_beams: int) -> int:
@@ -227,52 +220,55 @@ def cs_detect(op: SensingOperator, ys, sparsity: int, n_tx_beams: int,
 
     Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bins
     round to beams, and the first n_pairs distinct pairs by coefficient
-    magnitude are returned. If deduplication leaves fewer, pairs are
-    appended from the largest remaining residual correlations.
+    magnitude are returned. If deduplication leaves fewer, only then is the
+    fit's residual y - A_S x formed, and pairs are appended from its
+    largest normalized correlations.
     """
     if op.n_tx_bins % n_tx_beams or op.n_rx_bins % n_rx_beams:
         raise ValueError("grid sizes must be multiples of the beam counts")
     if not 1 <= n_pairs <= n_tx_beams * n_rx_beams:
         raise ValueError("n_pairs must lie in [1, %d]" % (n_tx_beams * n_rx_beams))
     if op.aliased:
-        fits = []
-        for y in ys:
-            stacked = replace(op, n_pilots=y.shape[0])
-            fits.append((stacked, _stacked_omp(stacked, y.reshape(-1), sparsity)))
+        stacked = [(replace(op, n_pilots=y.shape[0]), y.reshape(-1)) for y in ys]
+        fits = [(s, y, _stacked_omp(s, y, sparsity)) for s, y in stacked]
     else:
-        batch = omp(op, np.stack([y.mean(axis=0).reshape(-1) for y in ys]), sparsity)
-        fits = [(op, OmpResult(*row, b in batch.ridge_flagged)) for b, row in
-                enumerate(zip(batch.support, batch.coefficients, batch.residual))]
-    return [_rank_pairs(fit_op, result, n_tx_beams, n_rx_beams, n_pairs)
-            for fit_op, result in fits]
+        means = np.stack([y.mean(axis=0).reshape(-1) for y in ys])
+        batch = omp(op, means, sparsity)
+        fits = [(op, y, OmpResult(s, c, b in batch.ridge_flagged)) for b, (y, s, c)
+                in enumerate(zip(means, batch.support, batch.coefficients))]
+    return [_rank_pairs(fit_op, y, fit, n_tx_beams, n_rx_beams, n_pairs)
+            for fit_op, y, fit in fits]
 
 
-def _rank_pairs(op: SensingOperator, result: OmpResult, n_tx_beams: int, n_rx_beams: int,
-                n_pairs: int) -> DetectionOutcome:
-    def to_pair(g: int) -> BeamPair:
-        gt, gr = divmod(int(g), op.n_rx_bins)
-        return BeamPair(_bin_to_beam(gt, op.n_tx_bins, n_tx_beams),
-                        _bin_to_beam(gr, op.n_rx_bins, n_rx_beams))
+def _rank_pairs(op: SensingOperator, y: np.ndarray, fit: OmpResult, n_tx_beams: int,
+                n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
+    def bins():
+        yield from np.take(fit.support, np.argsort(-np.abs(fit.coefficients), kind="stable"))
+        # the recorded fills rest on the bits of y - A_S x, which another
+        # column layout or product would round differently: _stacked_omp's
+        # columns on an aliased op, a C-ordered broadcast block on one block
+        if op.aliased:
+            cols = np.stack([op.column(g) for g in fit.support], axis=1)
+        else:
+            st, sr = np.divmod(fit.support, op.n_rx_bins)
+            cols = np.multiply(op.tx_factor[:, st][:, None], op.rx_factor[:, sr],
+                               order="C").reshape(y.size, -1)
+        norms = op.col_norms()
+        scores = np.abs(op.adjoint_apply(y - cols @ fit.coefficients)) \
+            / np.where(norms > 0, norms, np.inf)
+        yield from np.argsort(-scores, kind="stable")
 
-    order = np.argsort(-np.abs(result.coefficients), kind="stable")
     est: list[BeamPair] = []
-    for i in order:
-        pair = to_pair(result.support[i])
+    for g in bins():
+        gt, gr = divmod(int(g), op.n_rx_bins)
+        pair = BeamPair(_bin_to_beam(gt, op.n_tx_bins, n_tx_beams),
+                        _bin_to_beam(gr, op.n_rx_bins, n_rx_beams))
         if pair not in est:
             est.append(pair)
-        if len(est) == n_pairs:
-            break
-    if len(est) < n_pairs:
-        norms = op.col_norms()
-        scores = np.abs(op.adjoint_apply(result.residual)) / np.where(norms > 0, norms, np.inf)
-        for g in np.argsort(-scores, kind="stable"):
-            pair = to_pair(g)
-            if pair not in est:
-                est.append(pair)
             if len(est) == n_pairs:
                 break
-    return DetectionOutcome(estimated=tuple(est), support=result.support,
-                            ridge_flagged=result.ridge_flagged)
+    return DetectionOutcome(estimated=tuple(est), support=fit.support,
+                            ridge_flagged=fit.ridge_flagged)
 
 
 def signed_circular_diff(est: int, true: int, n: int) -> int:

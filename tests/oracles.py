@@ -2,6 +2,7 @@
 against. None of them runs in a sweep."""
 
 import numpy as np
+from scipy import integrate, stats
 
 from beamcs.codebooks import _phasor_table, _quantize_indices
 from beamcs.sweep import SensingOperator
@@ -37,3 +38,62 @@ def apply(op: SensingOperator, h: np.ndarray) -> np.ndarray:
 def to_dense(op: SensingOperator) -> np.ndarray:
     """Materialized sensing matrix; quadratic in grid size."""
     return np.tile(np.kron(op.tx_factor, op.rx_factor), (op.n_pilots, 1))
+
+
+def residual(op: SensingOperator, y: np.ndarray, support, coefficients) -> np.ndarray:
+    """y - A_S x, the residual of an omp fit: the forward map of the
+    coefficients scattered onto their support. A stacked fit, with a
+    leading row axis on all three, gives one residual per row."""
+    if np.ndim(y) == 2:
+        return np.stack([residual(op, *row) for row in zip(y, support, coefficients)])
+    h = np.zeros(op.shape[1], dtype=complex)
+    h[list(support)] = coefficients
+    return y - apply(op, h)
+
+
+def _strongest_of(df: int, noncentrality: float, n_cells: int) -> float:
+    """P(one noncentral chi^2(df, noncentrality) draw exceeds n_cells - 1
+    independent central chi^2(df) draws): the integral of
+    f_{chi'^2(df, lambda)} F_{chi^2(df)}^(n_cells - 1). quad rejects break
+    points on an infinite range, so the integral stops 40 standard
+    deviations above the noncentral mean."""
+    signal = stats.ncx2(df, noncentrality)
+    noise = stats.chi2(df)
+    upper = signal.mean() + 40.0 * signal.std()
+    value, _ = integrate.quad(lambda x: signal.pdf(x) * noise.cdf(x) ** (n_cells - 1),
+                              0.0, upper, points=[signal.mean(), noise.isf(1.0 / n_cells)],
+                              limit=200, epsabs=1e-10)
+    return value
+
+
+def pilot_mean_coherence(delay: float, pilots, sample_rate: float, n_fft: int) -> float:
+    """c = |sum_k exp(-j 2 pi f_s delay k / n_fft)|^2 / P^2 over the P pilot
+    subcarriers: the share of a path's energy that the pilot mean keeps."""
+    k = np.asarray(pilots, dtype=float)
+    return float(abs(np.exp(-2j * np.pi * sample_rate * delay * k / n_fft).sum()) ** 2
+                 / k.size ** 2)
+
+
+def es_detection_probability(energy: float, noise_var: float, n_pilots: int,
+                             n_pairs: int) -> float:
+    """Probability that exhaustive search ranks the one signal pair first.
+
+    The signal pair carries `energy` per pilot, every pair has white
+    complex noise of variance noise_var per pilot, and the pairs are
+    independent. Per pair the pilot-summed energy over noise_var / 2 is
+    chi^2 with 2 P degrees of freedom, noncentral with 2 P energy /
+    noise_var on the signal pair."""
+    return _strongest_of(2 * n_pilots, 2 * n_pilots * energy / noise_var, n_pairs)
+
+
+def omp_detection_probability(energy: float, noise_var: float, n_pilots: int,
+                              coherence: float, n_bins: int) -> float:
+    """Probability that one OMP pick on an orthogonal operator finds the
+    one signal bin.
+
+    The pilot mean keeps energy * coherence of the signal and noise of
+    variance noise_var / P on each of n_bins orthogonal unit columns, so per
+    bin |correlation|^2 over noise_var / (2 P) is chi^2 with 2 degrees of
+    freedom, noncentral with 2 P energy coherence / noise_var on the signal
+    bin."""
+    return _strongest_of(2, 2 * n_pilots * energy * coherence / noise_var, n_bins)

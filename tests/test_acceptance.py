@@ -6,6 +6,7 @@ module-scoped: the default 500-trial sweep and the codebook-scaling runs
 are computed once and shared.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -22,7 +23,8 @@ from beamcs import experiment
 from beamcs.experiment import (ExperimentConfig, _TAG_CHANNEL, _TAG_DESIGN, _seed,
                                emit_csv, run_experiment)
 from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
-from oracles import DenseOperator, apply, to_dense
+from oracles import (DenseOperator, apply, es_detection_probability, omp_detection_probability,
+                     pilot_mean_coherence, to_dense)
 
 HIGH_SNRS = tuple(float(v) for v in range(-10, 35, 5))
 
@@ -156,6 +158,19 @@ def test_criterion_4_tx_floor(default_run, strongest_positions):
           "min per-pair %.3f (%s, %+.0f dB)"
           % (worst[0], worst[2], worst[1], pp[0], pp[2], pp[1]))
     assert worst[0] >= 0.90
+
+
+def test_default_run_bytes(default_run, tmp_path):
+    # The CSVs of the default 500-trial run at seed 12345. 242 of its 13,000
+    # OMP fits run out of distinct support pairs and fill from the residual,
+    # so this is the check that pins the one-block fill. These bytes hold at
+    # numpy's AVX-512 dispatch and with NPY_DISABLE_CPU_FEATURES holding it
+    # to X86_V3 or to X86_V2.
+    _, records, stats = default_run
+    paths = emit_csv(records, stats, tmp_path)
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == (
+        "977d3b0137e6fb4ac1cf47e06f326dad446a129eddb147d8e194cd6bcbd6f7a3",
+        "5b1169ed0c4aea21d0f2f907724abf446c9b7f417896ed8b377f4e7d66a8233c")
 
 
 @pytest.fixture(scope="module")
@@ -339,3 +354,50 @@ def test_criterion_8_worker_count_invariance(tmp_path):
     print("criterion 8: byte-identical across worker counts: %s, across reruns: %s"
           % (same_workers, same_rerun))
     assert same_workers and same_rerun
+
+
+def test_criterion_9_detection_probability_matches_theory():
+    # One path exactly on tx beam 5 of 64 and rx beam 3 of 8 with |g| = 1,
+    # scaled by the gain of a one-path sample_channel. The exact 6-bit DFT
+    # codebooks put its energy 512 on one of the 512 pairs, and at grid
+    # multiplier 1 the operator is orthogonal, so ES and one OMP pick have
+    # closed forms (tests/oracles.py). ES sums energy over the pilots; OMP
+    # fits the pilot mean, which keeps the share c of the energy, c = 1 at
+    # delay 0 and 0.826 at 200 ns. Every rate must lie within 3 binomial
+    # standard errors of theory.
+    tx_cb = dft_codebook(64, 64, 6)
+    rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
+    cfg = SweepConfig(n_pilots=10)
+    op = build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(64), 1),
+                                build_grid(ArrayGeometry(8), 1))
+    assert not op.aliased
+    one_path = sample_channel(ChannelParams(n_clusters=1, n_rays=1), ArrayGeometry(64),
+                              ArrayGeometry(8), np.random.default_rng(0))
+    truth = (BeamPair(5, 3),)
+    n_draws = 1000
+    for delay in (0.0, 200e-9):
+        path = PathComponent(1.0 + 0.0j, delay, math.asin(beam_sin_values(64)[5]),
+                             math.asin(beam_sin_values(8)[3]), 0, 0)
+        signal = sweep_signal(replace(one_path, paths=[path]), tx_cb, rx_cb, cfg)
+        c = pilot_mean_coherence(delay, cfg.pilots, cfg.sample_rate, cfg.n_fft)
+        for snr in (-30.0, -28.0, -26.0):
+            noise_var = 10.0 ** (-snr / 10.0)
+            rng = np.random.default_rng(_seed(9, int(delay * 1e9), int(-snr)))
+            es_hits = 0
+
+            def draws():  # ES scores each draw on its way to cs_detect
+                nonlocal es_hits
+                for _ in range(n_draws):
+                    y = acquire(signal, rx_cb, noise_var, rng)
+                    es_hits += exhaustive_search(y, 1).estimated == truth
+                    yield y
+
+            omp_hits = sum(out.estimated == truth for out in cs_detect(op, draws(), 1, 64, 8, 1))
+            for name, hits, p in (
+                    ("ES", es_hits, es_detection_probability(512.0, noise_var, 10, 512)),
+                    ("OMP", omp_hits, omp_detection_probability(512.0, noise_var, 10, c, 512))):
+                se = math.sqrt(p * (1.0 - p) / n_draws)
+                print("criterion 9: %3s delay %3.0f ns %+.0f dB P_d %.3f theory %.3f "
+                      "(z = %+.2f)" % (name, delay * 1e9, snr, hits / n_draws, p,
+                                       (hits / n_draws - p) / se))
+                assert abs(hits / n_draws - p) <= 3.0 * se

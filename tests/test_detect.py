@@ -15,7 +15,7 @@ from beamcs.detect import (BeamPair, beam_index_errors, beam_sin_values, cs_dete
                            exhaustive_search, omp, signed_circular_diff, true_pairs)
 from beamcs.metrics import single_beam_match
 from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
-from oracles import DenseOperator, to_dense
+from oracles import DenseOperator, residual, to_dense
 
 
 def make_channel(paths, n_bs=64, n_ue=8):
@@ -131,10 +131,11 @@ def test_omp_orthonormal_two_atoms_ordered_by_magnitude():
     a = np.eye(8, dtype=complex)
     y = np.zeros(8, dtype=complex)
     y[1], y[5] = 3.0, 1.0
-    res = omp(DenseOperator(a), y, 2)
+    op = DenseOperator(a)
+    res = omp(op, y, 2)
     assert res.support == (1, 5)
     assert_allclose(res.coefficients, [3.0, 1.0], atol=1e-12)
-    assert np.linalg.norm(res.residual) < 1e-12
+    assert np.linalg.norm(residual(op, y, res.support, res.coefficients)) < 1e-12
 
 
 def test_omp_residual_norms_never_increase():
@@ -145,7 +146,9 @@ def test_omp_residual_norms_never_increase():
         # the picks for k are a prefix of the picks for k + 1
         op = DenseOperator(a)
         norms = [float(np.linalg.norm(y))]
-        norms += [float(np.linalg.norm(omp(op, y, k).residual)) for k in range(1, 9)]
+        fits = [omp(op, y, k) for k in range(1, 9)]
+        norms += [float(np.linalg.norm(residual(op, y, f.support, f.coefficients)))
+                  for f in fits]
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev + 1e-9 * norms[0]
 
@@ -198,7 +201,8 @@ def test_gram_omp_matches_the_residual_loop_on_one_block():
                 got, want = omp(op, y, 6), detect._stacked_omp(op, y, 6)
                 assert got.support == want.support
                 assert_allclose(got.coefficients, want.coefficients, rtol=1e-9)
-                assert_allclose(got.residual, want.residual, rtol=0,
+                assert_allclose(residual(op, y, got.support, got.coefficients),
+                                residual(op, y, want.support, want.coefficients), rtol=0,
                                 atol=1e-9 * np.abs(y).max())
                 assert not got.ridge_flagged and not want.ridge_flagged
 
@@ -220,13 +224,15 @@ def test_batched_omp_rows_equal_the_rows_fitted_alone_bitwise():
                                    np.random.default_rng(300 + seed)).mean(axis=0).reshape(-1)
                            for snr_db in np.arange(-30.0, 35.0, 5.0)])
             batch = omp(op, ys, 6)
-            assert batch.coefficients.shape == (13, 6) and batch.residual.shape == ys.shape
+            batch_residual = residual(op, ys, batch.support, batch.coefficients)
+            assert batch.coefficients.shape == (13, 6) and batch_residual.shape == ys.shape
             assert batch.ridge_flagged == ()
             for b, y in enumerate(ys):
                 alone = omp(op, y, 6)
                 assert batch.support[b] == alone.support
                 assert np.array_equal(batch.coefficients[b], alone.coefficients)
-                assert np.array_equal(batch.residual[b], alone.residual)
+                assert np.array_equal(batch_residual[b],
+                                      residual(op, y, alone.support, alone.coefficients))
 
 
 def test_batched_omp_flags_only_the_row_that_takes_the_ridge():
@@ -291,6 +297,36 @@ def test_cs_detect_pads_when_dedup_runs_short():
     assert len(out.estimated) == 2
     assert out.estimated[0] == BeamPair(20, 4)
     assert out.estimated[1] != out.estimated[0]
+
+
+def test_cs_detect_fills_from_the_residual_when_support_pairs_coincide():
+    # support bins that round to one beam pair leave fewer than n_pairs
+    # pairs, so the rest come from y - A_S x; the expected pairs were
+    # recorded when omp still returned that residual itself
+    def support_pairs(op, out, n_tx_beams):
+        return {(detect._bin_to_beam(g // op.n_rx_bins, op.n_tx_bins, n_tx_beams),
+                 detect._bin_to_beam(g % op.n_rx_bins, op.n_rx_bins, 8)) for g in out.support}
+
+    tx, rx, cfg, op = cs_setup(3)
+    # a quarter beam off beam 20: both picks round to (20, 4)
+    path = replace(on_beam_path(20, 4), aod=math.asin(beam_sin_values(64)[20] + 0.5 / 64))
+    y = acquire(sweep_signal(make_channel([path]), tx, rx, cfg), rx, 0.01,
+                np.random.default_rng(0))
+    out = cs_detect(op, [y], sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=3)[0]
+    assert support_pairs(op, out, 64) == {(20, 4)}
+    assert out.estimated == (BeamPair(20, 4), BeamPair(21, 4), BeamPair(19, 4))
+
+    tx = multi_beam_dft_codebook(128, 64, 6)
+    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(128), 3),
+                                build_grid(ArrayGeometry(8), 3))
+    assert op.aliased
+    ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
+                        np.random.default_rng(17))
+    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.1, np.random.default_rng(117))
+    out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=5)[0]
+    assert len(support_pairs(op, out, 128)) == 4
+    assert out.estimated == (BeamPair(121, 4), BeamPair(12, 1), BeamPair(55, 5),
+                             BeamPair(56, 4), BeamPair(13, 2))
 
 
 def test_cs_detect_two_separated_paths():
