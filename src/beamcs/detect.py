@@ -192,7 +192,8 @@ def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
             gram = a.conj().T @ a + ridge * np.eye(len(support))
             coef = np.linalg.solve(gram, a.conj().T @ y)
             flagged = True
-        residual = y - a @ coef
+        if i + 1 < sparsity:  # the fit returns no residual
+            residual = y - a @ coef
     return OmpResult(tuple(support), coef, flagged)
 
 

@@ -145,6 +145,12 @@ class ExperimentConfig:
             raise ValueError("snr_db must not be empty")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ValueError("snr_db points must be finite")
+        for s in self.snr_db:
+            try:
+                _noise_var(s)
+            except OverflowError:
+                raise ValueError("snr_db point %r gives a noise variance beyond the float "
+                                 "range" % s) from None
         if len({_snr_key(s) for s in self.snr_db}) != len(self.snr_db):
             raise ValueError("snr_db points must differ after rounding to 0.001 dB")
         if self.workers < 1:
@@ -159,6 +165,12 @@ def _seed(master: int, *parts: int) -> np.random.SeedSequence:
 
 def _snr_key(snr_db: float) -> int:
     return int(round(snr_db * 1000.0))
+
+
+def _noise_var(snr_db: float) -> float:
+    """Per-antenna noise variance of an SNR point; OverflowError where it
+    exceeds the float range."""
+    return 10.0 ** (-snr_db / 10.0)
 
 
 def _build_assets(cfg: ExperimentConfig) -> dict:
@@ -212,7 +224,7 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
             op = assets["op"].get(method)
         signal = sweep_signal(ch, tx_cb, rx_cb, cfg.sweep)
         # one measurement per SNR point, drawn as the detector reads it
-        ys = (acquire(signal, rx_cb, 10.0 ** (-snr / 10.0), np.random.default_rng(
+        ys = (acquire(signal, rx_cb, _noise_var(snr), np.random.default_rng(
                   _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), mid)))
               for snr in cfg.snr_db)
         if method == METHOD_ES:

@@ -14,7 +14,8 @@ A sweep is a noiseless signal (`sweep_signal`: free of noise_var, so one
 serves every SNR point of a channel) plus combined noise (`acquire`, given
 noise_var). Noise is drawn per receive antenna and passed through the
 combiner, so its covariance is noise_var * W^H W by construction, never
-assumed white.
+assumed white. The combine is one BLAS matrix product per rx entry j,
+W_j^H applied to the noise of every (pilot, tx entry) at once.
 
 The sensing operator maps a vectorized grid-domain channel h (tx bin
 major: g = g_tx * n_rx_bins + g_rx) to one pilot's noiseless measurements.
@@ -84,17 +85,28 @@ def acquire(signal: np.ndarray, rx_cb: Codebook, noise_var: float,
             rng: np.random.Generator) -> np.ndarray:
     """Add combined noise of per-antenna variance noise_var to a noiseless
     sweep from `sweep_signal`. Returns the C-ordered (pilot, tx entry,
-    rx entry, chain) measurement."""
+    rx entry, chain) measurement.
+
+    Each (pilot, tx entry, rx entry) draws one antenna-domain noise vector
+    z, and rx entry j's chains see W_j^H z, so the combined noise has
+    covariance exactly noise_var * W_j^H W_j. The combine runs as one BLAS
+    product per rx entry, written into the result's own layout.
+    """
     if not (noise_var >= 0 and math.isfinite(noise_var)):
         raise ValueError("noise_var must be non-negative and finite")
     if signal.shape[2:] != (rx_cb.n_entries, rx_cb.n_cols):
         raise ValueError("rx codebook shape does not match the signal")
-    w_h = rx_cb.columns.conj().T.reshape(rx_cb.n_entries, rx_cb.n_cols, rx_cb.n_ant)
+    n_rx, n_ant, n_cols = rx_cb.entries.shape
     # one antenna-domain noise vector per (pilot, tx entry, rx entry)
-    draws = rng.standard_normal(size=signal.shape[:3] + (rx_cb.n_ant, 2))
+    draws = rng.standard_normal(size=signal.shape[:3] + (n_ant, 2))
     z = draws.view(complex)[..., 0] * np.sqrt(noise_var / 2.0)  # pairs as (re, im)
-    noise = np.einsum("jre,kije->kijr", w_h, z)
-    return np.ascontiguousarray(signal + noise)
+    # W_j^H z as rows: (pilot * tx entry, antenna) @ conj(W_j) for each rx
+    # entry j, over rx-entry-major views of z and y, so it lands in y's layout
+    y = np.empty(signal.shape, dtype=complex)
+    np.matmul(z.reshape(-1, n_rx, n_ant).transpose(1, 0, 2), rx_cb.entries.conj(),
+              out=y.reshape(-1, n_rx, n_cols).transpose(1, 0, 2))
+    y += signal
+    return y
 
 
 @dataclass(frozen=True, eq=False)

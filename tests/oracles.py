@@ -40,6 +40,14 @@ def to_dense(op: SensingOperator) -> np.ndarray:
     return np.tile(np.kron(op.tx_factor, op.rx_factor), (op.n_pilots, 1))
 
 
+def combine_noise(z: np.ndarray, rx_cb) -> np.ndarray:
+    """W_j^H z of every rx entry j, as one einsum: antenna-domain noise z of
+    shape (pilot, tx entry, rx entry, antenna) as each RF chain sees it,
+    (pilot, tx entry, rx entry, chain)."""
+    w_h = rx_cb.columns.conj().T.reshape(rx_cb.n_entries, rx_cb.n_cols, rx_cb.n_ant)
+    return np.einsum("jre,kije->kijr", w_h, z)
+
+
 def residual(op: SensingOperator, y: np.ndarray, support, coefficients) -> np.ndarray:
     """y - A_S x, the residual of an omp fit: the forward map of the
     coefficients scattered onto their support. A stacked fit, with a

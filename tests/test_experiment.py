@@ -83,6 +83,12 @@ def test_validate_rejects_bad_configs():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="snr_db points must be finite"):
             ExperimentConfig(snr_db=(0.0, value)).validate()
+    # 10 ** (-snr / 10) overflowed only in the first trial, after the set-up,
+    # as "(34, 'Numerical result out of range')"
+    for value in (-4000.0, -3090.0):
+        with pytest.raises(ValueError, match="snr_db point %r gives a noise variance" % value):
+            ExperimentConfig(snr_db=(0.0, value)).validate()
+    ExperimentConfig(snr_db=(-3080.0, 4000.0)).validate()
     with pytest.raises(ValueError, match="designed_sweeps"):
         ExperimentConfig(designed_sweeps=-1, methods=("OMP-Designed",)).validate()
     # the default grid has 64*3 x 8*3 = 4608 bins
@@ -365,3 +371,7 @@ def test_main_cli_rejects_bad_snr(tmp_path, capsys):
     code = main(["--snr", "10", "--trials", "1", "--out", str(tmp_path / "r")])
     assert code == 1
     assert "start:step:stop" in capsys.readouterr().err
+    code = main(["--snr=-4000:1:-4000", "--trials", "1", "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: snr_db point -4000.0 gives a noise variance beyond the float range\n")

@@ -11,7 +11,7 @@ from beamcs.codebooks import (Codebook, designed_codebook, dft_codebook, group_c
                               multi_beam_dft_codebook, random_codebook)
 from beamcs.sweep import (SweepConfig, acquire, build_sensing_operator, parallel_columns,
                           sweep_signal, transmit_vectors)
-from oracles import apply, to_dense
+from oracles import apply, combine_noise, to_dense
 
 FS = 491.52e6
 
@@ -74,6 +74,25 @@ def test_acquire_without_noise_returns_the_signal():
     signal = sweep_signal(ch, tx, rx, default_cfg())
     y = acquire(signal, rx, 0.0, np.random.default_rng(3))
     assert np.array_equal(y, signal)
+
+
+@pytest.mark.parametrize("rx", [group_columns(dft_codebook(8, 8, 6), 4),
+                                random_codebook(8, 2, 4, 6, np.random.default_rng(4)),
+                                group_columns(dft_codebook(8, 8, 6), 1)],
+                         ids=["dft-2x4", "random-2x4", "dft-8x1"])
+def test_acquire_combines_the_noise_per_rx_entry(rx):
+    # pilot and tx-entry counts differ, so a swapped or misread axis shows
+    # as an error of order one, which the covariance test cannot see
+    rng = np.random.default_rng(8)
+    shape = (3, 5, rx.n_entries, rx.n_cols)
+    signal = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise_var = 0.37
+    y = acquire(signal, rx, noise_var, np.random.default_rng(21))
+    assert y.flags.c_contiguous
+    draws = np.random.default_rng(21).standard_normal(shape[:3] + (rx.n_ant, 2))
+    z = (draws[..., 0] + 1j * draws[..., 1]) * np.sqrt(noise_var / 2.0)
+    want = combine_noise(z, rx)
+    assert np.abs((y - signal) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_acquire_rejects_mismatched_signal_and_combiner():
