@@ -10,7 +10,8 @@ Kronecker factors of one Gram column instead of applying the adjoint
 again. Every pilot sees the same operator block, so unless that block has
 parallel columns the fit runs on one block against the pilot mean, and
 all SNR points of one sweep are fitted by one batched call. A fit returns
-no residual; `cs_detect` forms one only for its rare residual fill.
+no residual; `cs_detect` forms one only for its rare residual fill, from
+`SensingOperator.columns`, one column layout for every operator.
 
 Beam indexing everywhere is DFT order (`arrays.beam_sin_values`), so
 index differences are circular.
@@ -185,7 +186,7 @@ def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
             scores[np.asarray(support)] = -1.0
         g = int(np.argmax(scores))
         support.append(g)
-        cols[:, i] = op.column(g)
+        cols[:, i:i + 1] = op.columns([g])
         a = cols[:, :i + 1]
         coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
         if rank < len(support):
@@ -245,17 +246,8 @@ def _rank_pairs(op: SensingOperator, y: np.ndarray, fit: OmpResult, n_tx_beams: 
                 n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
     def bins():
         yield from np.take(fit.support, np.argsort(-np.abs(fit.coefficients), kind="stable"))
-        # the recorded fills rest on the bits of y - A_S x, which another
-        # column layout or product would round differently: _stacked_omp's
-        # columns on an aliased op, a C-ordered broadcast block on one block
-        if op.aliased:
-            cols = np.stack([op.column(g) for g in fit.support], axis=1)
-        else:
-            st, sr = np.divmod(fit.support, op.n_rx_bins)
-            cols = np.multiply(op.tx_factor[:, st][:, None], op.rx_factor[:, sr],
-                               order="C").reshape(y.size, -1)
         norms = op.col_norms()
-        scores = np.abs(op.adjoint_apply(y - cols @ fit.coefficients)) \
+        scores = np.abs(op.adjoint_apply(y - op.columns(fit.support) @ fit.coefficients)) \
             / np.where(norms > 0, norms, np.inf)
         yield from np.argsort(-scores, kind="stable")
 

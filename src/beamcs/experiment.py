@@ -48,6 +48,8 @@ METHODS = (METHOD_ES, METHOD_OMP_RANDOM, METHOD_OMP_DFT,
 _METHOD_ID = {name: i for i, name in enumerate(METHODS)}
 
 _TAG_CHANNEL, _TAG_NOISE, _TAG_CODEBOOK, _TAG_DESIGN = 1, 2, 3, 4
+# headroom for the noise tail of an energy summed over the pilots
+_ENERGY_HEADROOM = 1e3
 
 
 @dataclass(frozen=True)
@@ -145,12 +147,14 @@ class ExperimentConfig:
             raise ValueError("snr_db must not be empty")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ValueError("snr_db points must be finite")
+        # below this the pilot-summed ES energy, about noise_var * n_pilots,
+        # comes within _ENERGY_HEADROOM of the float range
+        floor = -10.0 * math.log10(sys.float_info.max / (self.n_pilots * _ENERGY_HEADROOM))
         for s in self.snr_db:
-            try:
-                _noise_var(s)
-            except OverflowError:
-                raise ValueError("snr_db point %r gives a noise variance beyond the float "
-                                 "range" % s) from None
+            if s < floor:
+                raise ValueError("snr_db point %r is below %r dB, where the noise energy of "
+                                 "n_pilots=%d pilots nears the float range"
+                                 % (s, math.ceil(floor * 1000.0) / 1000.0, self.n_pilots))
         if len({_snr_key(s) for s in self.snr_db}) != len(self.snr_db):
             raise ValueError("snr_db points must differ after rounding to 0.001 dB")
         if self.workers < 1:
@@ -168,8 +172,7 @@ def _snr_key(snr_db: float) -> int:
 
 
 def _noise_var(snr_db: float) -> float:
-    """Per-antenna noise variance of an SNR point; OverflowError where it
-    exceeds the float range."""
+    """Per-antenna noise variance of an SNR point."""
     return 10.0 ** (-snr_db / 10.0)
 
 

@@ -116,8 +116,8 @@ class SensingOperator:
     tx_factor = X^T conj(A_tx_grid), rx_factor = W^H A_rx_grid. Every pilot
     sees this block (frequency-flat beams); n_pilots stacks it, which only
     `cs_detect` does. The adjoint reduces to two small matrix products per
-    call, whatever the number of leading axes; a column is one outer
-    product, and a Gram column A^H a_g is kept as its two Kronecker factors
+    call, whatever the number of leading axes; `columns` builds a support's
+    columns, and a Gram column A^H a_g is kept as its two Kronecker factors
     (`gram_factors`), never as one n_bins-long row.
 
     aliased is True when either factor has two exactly parallel columns
@@ -155,10 +155,12 @@ class SensingOperator:
         g = self.tx_factor.conj().T @ (acc @ self.rx_factor.conj())
         return g.reshape(lead + (-1,))
 
-    def column(self, g: int) -> np.ndarray:
-        gt, gr = divmod(g, self.n_rx_bins)
-        block = np.outer(self.tx_factor[:, gt], self.rx_factor[:, gr]).reshape(-1)
-        return np.broadcast_to(block, (self.n_pilots, block.size)).reshape(-1)
+    def columns(self, support) -> np.ndarray:
+        """The C-ordered (rows, len(support)) block of the support's columns,
+        tx_factor[:, g_tx] * rx_factor[:, g_rx] stacked over n_pilots."""
+        gt, gr = np.divmod(support, self.n_rx_bins)
+        block = np.multiply(self.tx_factor[:, gt][:, None], self.rx_factor[:, gr], order="C")
+        return np.broadcast_to(block, (self.n_pilots,) + block.shape).reshape(-1, gt.size)
 
     def gram_factors(self, g: np.ndarray) -> tuple:
         """Kronecker factors (t, r) of the Gram columns of the bins g, one

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -84,11 +85,12 @@ def test_validate_rejects_bad_configs():
         with pytest.raises(ValueError, match="snr_db points must be finite"):
             ExperimentConfig(snr_db=(0.0, value)).validate()
     # 10 ** (-snr / 10) overflowed only in the first trial, after the set-up,
-    # as "(34, 'Numerical result out of range')"
-    for value in (-4000.0, -3090.0):
-        with pytest.raises(ValueError, match="snr_db point %r gives a noise variance" % value):
+    # as "(34, 'Numerical result out of range')"; -3080 dB passed and overflowed
+    # the ES energy
+    for value in (-4000.0, -3090.0, -3080.0):
+        with pytest.raises(ValueError, match="snr_db point %r is below" % value):
             ExperimentConfig(snr_db=(0.0, value)).validate()
-    ExperimentConfig(snr_db=(-3080.0, 4000.0)).validate()
+    ExperimentConfig(snr_db=(-3042.0, 4000.0)).validate()
     with pytest.raises(ValueError, match="designed_sweeps"):
         ExperimentConfig(designed_sweeps=-1, methods=("OMP-Designed",)).validate()
     # the default grid has 64*3 x 8*3 = 4608 bins
@@ -96,6 +98,21 @@ def test_validate_rejects_bad_configs():
         with pytest.raises(ValueError, match=r"sparsity must lie in \[1, 4608\]"):
             ExperimentConfig(sparsity=sparsity).validate()
     ExperimentConfig(sparsity=4608).validate()
+
+
+def test_validate_holds_the_es_energy_below_the_float_range():
+    # the floor sits where noise_var * n_pilots * 1e3 reaches the largest float;
+    # -3072 dB at 10 pilots passed and ES overflowed squaring |y|
+    for n_pilots, floor in ((1, -3052.547), (10, -3042.547)):
+        ExperimentConfig(n_pilots=n_pilots, snr_db=(floor,)).validate()
+        with pytest.raises(ValueError, match="snr_db point %r is below %r dB" % (floor - 0.001,
+                                                                                  floor)):
+            ExperimentConfig(n_pilots=n_pilots, snr_db=(floor - 0.001,)).validate()
+    cfg = ExperimentConfig(n_trials=2, methods=("ES", "OMP-DFT"), snr_db=(-3042.547,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records, _ = run_experiment(cfg)
+    assert len(records) == 4
 
 
 def test_validate_rejects_an_unbuildable_phasor_table():
@@ -374,4 +391,5 @@ def test_main_cli_rejects_bad_snr(tmp_path, capsys):
     code = main(["--snr=-4000:1:-4000", "--trials", "1", "--out", str(tmp_path / "r")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: snr_db point -4000.0 gives a noise variance beyond the float range\n")
+        "error: snr_db point -4000.0 is below -3042.547 dB, where the noise energy of "
+        "n_pilots=10 pilots nears the float range\n")

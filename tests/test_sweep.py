@@ -194,11 +194,27 @@ def test_operator_adjoint_matches_dense():
 
 
 def test_operator_columns_and_norms_match_dense():
-    op = small_operator()
-    dense = to_dense(op)
-    assert_allclose(op.col_norms(), np.linalg.norm(dense, axis=0), atol=1e-12)
-    for g in (0, 7, op.shape[1] - 1):
-        assert_allclose(op.column(g), dense[:, g], atol=1e-14)
+    aliased = build_sensing_operator(multi_beam_dft_codebook(128, 64, 6),
+                                     group_columns(dft_codebook(8, 8, 6), 4),
+                                     build_grid(ArrayGeometry(128), 3),
+                                     build_grid(ArrayGeometry(8), 3))
+    assert aliased.aliased
+    rng = np.random.default_rng(9)
+    for op in (small_operator(), aliased):
+        # the stacked dense matrix tiles the one-block one, which at 128
+        # antennas is already 75 MB
+        dense = to_dense(replace(op, n_pilots=1))
+        for n_pilots in (1, 10):
+            stacked = replace(op, n_pilots=n_pilots)
+            assert_allclose(stacked.col_norms(), np.sqrt(n_pilots) * np.linalg.norm(dense, axis=0),
+                            atol=1e-12)
+            one = [int(rng.integers(op.shape[1]))]
+            six = rng.choice(op.shape[1], 5, replace=False).tolist()
+            # a repeated bin as the sixth
+            for support in (one, six + six[2:3]):
+                cols = stacked.columns(support)
+                assert cols.flags.c_contiguous
+                assert np.array_equal(cols, np.tile(dense[:, support], (n_pilots, 1)))
 
 
 def test_operator_gram_factors_match_dense():
@@ -230,14 +246,6 @@ def test_operator_adjoint_of_a_stack_equals_the_row_calls_bitwise():
             assert got.shape == (13, op.shape[1])
             for row, want in zip(got, r):
                 assert np.array_equal(row, stacked.adjoint_apply(want))
-
-
-def test_operator_column_is_the_tiled_kronecker_column_bitwise():
-    op = small_operator()
-    tx, rx = op.tx_factor, op.rx_factor
-    for g in range(op.shape[1]):
-        gt, gr = divmod(g, op.n_rx_bins)
-        assert np.array_equal(op.column(g), np.tile(np.kron(tx[:, gt], rx[:, gr]), op.n_pilots))
 
 
 def test_operator_reduces_to_grid_kronecker_for_identity_beams():
