@@ -9,16 +9,17 @@ on the Gram matrix of the support, and updates the correlations from the
 Kronecker factors of one Gram column instead of applying the adjoint
 again. Every pilot sees the same operator block, so unless that block has
 parallel columns the fit runs on one block against the pilot mean, and
-all SNR points of one sweep are fitted by one batched call. A fit returns
-no residual; `cs_detect` forms one only for its rare residual fill, from
-`SensingOperator.columns`, one column layout for every operator.
+all SNR points of one sweep are fitted by one batched call. Only
+`_stacked_omp`, the fit of an aliased block, repeats it over the pilots.
+A fit returns no residual; `cs_detect` forms one for its rare residual
+fill only, one expression for every operator.
 
 Beam indexing everywhere is DFT order (`arrays.beam_sin_values`), so
 index differences are circular.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -112,7 +113,7 @@ def omp(op: SensingOperator, y: np.ndarray, sparsity: int) -> OmpResult:
     """
     if sparsity < 1 or sparsity > op.shape[1]:
         raise ValueError("sparsity must lie in [1, n_columns]")
-    norms = op.col_norms()
+    norms = op.col_norms(1)
     safe_norms = np.where(norms > 0.0, norms, np.inf)
     ridge = 1e-12 * float(norms.max()) ** 2
 
@@ -158,7 +159,8 @@ def omp(op: SensingOperator, y: np.ndarray, sparsity: int) -> OmpResult:
 
 def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     """The residual-domain OMP that `cs_detect` runs on aliased operators:
-    one adjoint and one least-squares fit per pick.
+    one adjoint and one least-squares fit per pick, with the block
+    repeated over the pilots of y, its leading axis.
 
     Among an aliased operator's parallel columns rounding, not the index,
     picks the winner, and the recorded results follow this loop's
@@ -168,26 +170,24 @@ def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     """
     if sparsity < 1 or sparsity > op.shape[1]:
         raise ValueError("sparsity must lie in [1, n_columns]")
-    norms = op.col_norms()
-    usable = norms > 0.0
-    safe_norms = np.where(usable, norms, np.inf)
+    n_pilots = len(y)
+    norms = op.col_norms(n_pilots)
+    safe_norms = np.where(norms > 0.0, norms, np.inf)
     ridge = 1e-12 * float(norms.max()) ** 2
 
-    y = np.asarray(y, dtype=complex)
+    y = np.asarray(y, dtype=complex).reshape(-1)
     residual = y.copy()
     support: list[int] = []
-    # column i holds the i-th pick; a is a C-ordered view of the first i + 1
-    cols = np.empty((op.shape[0], sparsity), dtype=complex)
-    coef = np.zeros(0, dtype=complex)
+    # column i holds the i-th pick, on every pilot; a is a view of the first i + 1
+    cols = np.empty((n_pilots, op.shape[0], sparsity), dtype=complex)
     flagged = False
     for i in range(sparsity):
-        scores = np.abs(op.adjoint_apply(residual)) / safe_norms
-        if support:
-            scores[np.asarray(support)] = -1.0
+        scores = np.abs(op.adjoint_apply(residual.reshape(n_pilots, -1).sum(axis=0))) / safe_norms
+        scores[support] = -1.0
         g = int(np.argmax(scores))
         support.append(g)
-        cols[:, i:i + 1] = op.columns([g])
-        a = cols[:, :i + 1]
+        cols[:, :, i:i + 1] = op.columns([g])
+        a = cols.reshape(-1, sparsity)[:, :i + 1]
         coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
         if rank < len(support):
             gram = a.conj().T @ a + ridge * np.eye(len(support))
@@ -214,41 +214,41 @@ def cs_detect(op: SensingOperator, ys, sparsity: int, n_tx_beams: int,
     score is scaled by sqrt(n_pilots), and the ranking and the
     coefficients agree with the stacked fit in exact arithmetic. ys is
     read once, so a generator keeps one full measurement live at a time.
-    An aliased op (see `SensingOperator`) is stacked over each
-    measurement's pilots and fitted on the flattened measurement by
-    `_stacked_omp` instead, one measurement at a time, because among its
-    parallel columns rounding picks the winner and the recorded picks
-    follow that loop's rounding.
+    An aliased op (see `SensingOperator`) is fitted by `_stacked_omp` on
+    each measurement's pilots instead, one measurement at a time, because
+    among its parallel columns rounding picks the winner and the recorded
+    picks follow that loop's rounding.
 
     Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bins
     round to beams, and the first n_pairs distinct pairs by coefficient
     magnitude are returned. If deduplication leaves fewer, only then is the
-    fit's residual y - A_S x formed, and pairs are appended from its
-    largest normalized correlations.
+    fit's residual formed and summed over the pilots it was fitted on (one
+    for the pilot mean), and pairs are appended from its largest normalized
+    correlations.
     """
     if op.n_tx_bins % n_tx_beams or op.n_rx_bins % n_rx_beams:
         raise ValueError("grid sizes must be multiples of the beam counts")
     if not 1 <= n_pairs <= n_tx_beams * n_rx_beams:
         raise ValueError("n_pairs must lie in [1, %d]" % (n_tx_beams * n_rx_beams))
     if op.aliased:
-        stacked = [(replace(op, n_pilots=y.shape[0]), y.reshape(-1)) for y in ys]
-        fits = [(s, y, _stacked_omp(s, y, sparsity)) for s, y in stacked]
+        stacks = [y.reshape(len(y), -1) for y in ys]
+        fits = [_stacked_omp(op, y, sparsity) for y in stacks]
     else:
-        means = np.stack([y.mean(axis=0).reshape(-1) for y in ys])
-        batch = omp(op, means, sparsity)
-        fits = [(op, y, OmpResult(s, c, b in batch.ridge_flagged)) for b, (y, s, c)
-                in enumerate(zip(means, batch.support, batch.coefficients))]
-    return [_rank_pairs(fit_op, y, fit, n_tx_beams, n_rx_beams, n_pairs)
-            for fit_op, y, fit in fits]
+        stacks = [y.mean(axis=0).reshape(1, -1) for y in ys]  # one-pilot stacks
+        batch = omp(op, np.reshape(stacks, (-1, op.shape[0])), sparsity)
+        fits = [OmpResult(s, c, b in batch.ridge_flagged)
+                for b, (s, c) in enumerate(zip(batch.support, batch.coefficients))]
+    return [_rank_pairs(op, y, fit, n_tx_beams, n_rx_beams, n_pairs)
+            for y, fit in zip(stacks, fits)]
 
 
 def _rank_pairs(op: SensingOperator, y: np.ndarray, fit: OmpResult, n_tx_beams: int,
                 n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
     def bins():
         yield from np.take(fit.support, np.argsort(-np.abs(fit.coefficients), kind="stable"))
-        norms = op.col_norms()
-        scores = np.abs(op.adjoint_apply(y - op.columns(fit.support) @ fit.coefficients)) \
-            / np.where(norms > 0, norms, np.inf)
+        norms = op.col_norms(len(y))
+        residual = (y - op.columns(fit.support) @ fit.coefficients).sum(axis=0)
+        scores = np.abs(op.adjoint_apply(residual)) / np.where(norms > 0, norms, np.inf)
         yield from np.argsort(-scores, kind="stable")
 
     est: list[BeamPair] = []

@@ -100,6 +100,9 @@ class ExperimentConfig:
         return SweepConfig(n_pilots=self.n_pilots, n_fft=self.n_fft, sample_rate=self.sample_rate)
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type is int and not isinstance(getattr(self, f.name), (int, np.integer)):
+                raise ValueError("%s must be an integer" % f.name)
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError("unknown method %r (choose from %s)" % (m, ", ".join(METHODS)))

@@ -20,8 +20,8 @@ W_j^H applied to the noise of every (pilot, tx entry) at once.
 The sensing operator maps a vectorized grid-domain channel h (tx bin
 major: g = g_tx * n_rx_bins + g_rx) to one pilot's noiseless measurements.
 With analog-only, frequency-flat beams every pilot sees that one block, so
-the operator stores one transmit-side factor and one receive-side factor,
-never the dense matrix; only `cs_detect` stacks it over the pilots.
+the operator stores that block's transmit-side and receive-side factors,
+never the dense matrix; only `_stacked_omp` repeats it over the pilots.
 """
 
 import math
@@ -114,21 +114,20 @@ class SensingOperator:
     """Matrix-free operator of one pilot block, as one Kronecker factor pair.
 
     tx_factor = X^T conj(A_tx_grid), rx_factor = W^H A_rx_grid. Every pilot
-    sees this block (frequency-flat beams); n_pilots stacks it, which only
-    `cs_detect` does. The adjoint reduces to two small matrix products per
-    call, whatever the number of leading axes; `columns` builds a support's
+    sees this block (frequency-flat beams), and only `col_norms` counts the
+    pilots. The adjoint reduces to two small matrix products per call,
+    whatever the number of leading axes; `columns` builds a support's
     columns, and a Gram column A^H a_g is kept as its two Kronecker factors
     (`gram_factors`), never as one n_bins-long row.
 
     aliased is True when either factor has two exactly parallel columns
     (`parallel_columns`), as the multi-beam transmit factor has at 128 and
-    256 antennas; `cs_detect` fits only alias-free operators on one block.
+    256 antennas; `cs_detect` fits only alias-free operators to pilot means.
     """
 
     tx_factor: np.ndarray  # (n_tx_entries, n_tx_bins)
     rx_factor: np.ndarray  # (n_rx_slots, n_rx_bins)
     aliased: bool
-    n_pilots: int = 1
 
     @property
     def n_tx_bins(self) -> int:
@@ -140,8 +139,7 @@ class SensingOperator:
 
     @property
     def shape(self) -> tuple:
-        rows = self.n_pilots * self.tx_factor.shape[0] * self.rx_factor.shape[0]
-        return (rows, self.n_tx_bins * self.n_rx_bins)
+        return (len(self.tx_factor) * len(self.rx_factor), self.n_tx_bins * self.n_rx_bins)
 
     def adjoint_apply(self, r: np.ndarray) -> np.ndarray:
         """A^H r over the last axis of r; leading axes are kept.
@@ -151,33 +149,31 @@ class SensingOperator:
         """
         n_tx, n_rx = self.tx_factor.shape[0], self.rx_factor.shape[0]
         lead = np.shape(r)[:-1]
-        acc = np.reshape(r, lead + (self.n_pilots, n_tx, n_rx)).sum(axis=-3)
-        g = self.tx_factor.conj().T @ (acc @ self.rx_factor.conj())
-        return g.reshape(lead + (-1,))
+        g = self.tx_factor.conj().T @ (np.reshape(r, lead + (n_tx, n_rx)) @ self.rx_factor.conj())
+        return g.reshape(lead + (self.shape[1],))
 
     def columns(self, support) -> np.ndarray:
         """The C-ordered (rows, len(support)) block of the support's columns,
-        tx_factor[:, g_tx] * rx_factor[:, g_rx] stacked over n_pilots."""
+        tx_factor[:, g_tx] * rx_factor[:, g_rx]."""
         gt, gr = np.divmod(support, self.n_rx_bins)
         block = np.multiply(self.tx_factor[:, gt][:, None], self.rx_factor[:, gr], order="C")
-        return np.broadcast_to(block, (self.n_pilots,) + block.shape).reshape(-1, gt.size)
+        return block.reshape(-1, gt.size)
 
     def gram_factors(self, g: np.ndarray) -> tuple:
         """Kronecker factors (t, r) of the Gram columns of the bins g, one
-        row each: A^H a_g[i] = kron(t[i], r[i]). t carries the pilot
-        count."""
+        row each: A^H a_g[i] = kron(t[i], r[i])."""
         gt, gr = np.divmod(g, self.n_rx_bins)
         # one vector-matrix product per bin, so a row does not depend on
         # how many bins are asked for at once
         t = np.conj(self.tx_factor.T[gt].conj()[:, None] @ self.tx_factor)[:, 0]
         r = np.conj(self.rx_factor.T[gr].conj()[:, None] @ self.rx_factor)[:, 0]
-        return self.n_pilots * t, r
+        return t, r
 
-    def col_norms(self) -> np.ndarray:
+    def col_norms(self, n_pilots: int) -> np.ndarray:
+        """Column norms of the block repeated over n_pilots pilots."""
         tn = np.linalg.norm(self.tx_factor, axis=0)
         rn = np.linalg.norm(self.rx_factor, axis=0)
-        return np.sqrt(self.n_pilots) * np.repeat(tn, self.n_rx_bins) \
-            * np.tile(rn, self.n_tx_bins)
+        return np.repeat(np.sqrt(n_pilots) * tn, self.n_rx_bins) * np.tile(rn, self.n_tx_bins)
 
 
 def parallel_columns(factor: np.ndarray) -> np.ndarray:

@@ -27,17 +27,48 @@ def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:
     return _phasor_table(phase_bits, matrix.shape[0])[idx]
 
 
-def apply(op: SensingOperator, h: np.ndarray) -> np.ndarray:
-    """Forward map of the sensing operator: flat noiseless measurements of
-    the grid-domain channel h."""
+def apply(op: SensingOperator, h: np.ndarray, n_pilots: int = 1) -> np.ndarray:
+    """Forward map of the sensing operator repeated over n_pilots pilots:
+    flat noiseless measurements of the grid-domain channel h."""
     hm = np.reshape(h, (op.n_rx_bins, op.n_tx_bins), order="F")
     block = op.rx_factor @ hm @ op.tx_factor.T
-    return np.tile(block.reshape(-1, order="F"), op.n_pilots)
+    return np.tile(block.reshape(-1, order="F"), n_pilots)
 
 
-def to_dense(op: SensingOperator) -> np.ndarray:
-    """Materialized sensing matrix; quadratic in grid size."""
-    return np.tile(np.kron(op.tx_factor, op.rx_factor), (op.n_pilots, 1))
+def to_dense(op: SensingOperator, n_pilots: int = 1) -> np.ndarray:
+    """Materialized sensing matrix of the block repeated over n_pilots
+    pilots; quadratic in grid size."""
+    return np.tile(np.kron(op.tx_factor, op.rx_factor), (n_pilots, 1))
+
+
+def stacked_omp(op: SensingOperator, y: np.ndarray, sparsity: int):
+    """Support and coefficients of the residual-domain OMP on the operator
+    tiled over the pilots of y (its leading axis), written on the flat
+    stacked measurement and the tiled columns: one adjoint of the pilot
+    sum, one lstsq (ridge solve if rank deficient) per pick."""
+    n_pilots, n_tx, n_rx = len(y), len(op.tx_factor), len(op.rx_factor)
+    y = np.asarray(y, dtype=complex).reshape(-1)
+    norms = np.sqrt(n_pilots) * np.repeat(np.linalg.norm(op.tx_factor, axis=0), op.n_rx_bins) \
+        * np.tile(np.linalg.norm(op.rx_factor, axis=0), op.n_tx_bins)
+    safe_norms = np.where(norms > 0.0, norms, np.inf)
+    cols = np.empty((y.size, sparsity), dtype=complex)
+    residual, support = y, []
+    for i in range(sparsity):
+        acc = residual.reshape(n_pilots, n_tx, n_rx).sum(axis=-3)
+        corr = (op.tx_factor.conj().T @ (acc @ op.rx_factor.conj())).reshape(-1)
+        scores = np.abs(corr) / safe_norms
+        scores[support] = -1.0
+        support.append(int(np.argmax(scores)))
+        gt, gr = divmod(support[-1], op.n_rx_bins)
+        cols[:, i] = np.tile(np.outer(op.tx_factor[:, gt], op.rx_factor[:, gr]).reshape(-1),
+                             n_pilots)
+        a = cols[:, :i + 1]
+        coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+        if rank < i + 1:
+            gram = a.conj().T @ a + 1e-12 * float(norms.max()) ** 2 * np.eye(i + 1)
+            coef = np.linalg.solve(gram, a.conj().T @ y)
+        residual = y - a @ coef
+    return tuple(support), coef
 
 
 def combine_noise(z: np.ndarray, rx_cb) -> np.ndarray:
@@ -48,15 +79,17 @@ def combine_noise(z: np.ndarray, rx_cb) -> np.ndarray:
     return np.einsum("jre,kije->kijr", w_h, z)
 
 
-def residual(op: SensingOperator, y: np.ndarray, support, coefficients) -> np.ndarray:
-    """y - A_S x, the residual of an omp fit: the forward map of the
-    coefficients scattered onto their support. A stacked fit, with a
-    leading row axis on all three, gives one residual per row."""
+def residual(op: SensingOperator, y: np.ndarray, support, coefficients,
+             n_pilots: int = 1) -> np.ndarray:
+    """y - A_S x, the residual of an omp fit on the operator repeated over
+    n_pilots pilots: the forward map of the coefficients scattered onto
+    their support. A stacked fit, with a leading row axis on all three,
+    gives one residual per row."""
     if np.ndim(y) == 2:
-        return np.stack([residual(op, *row) for row in zip(y, support, coefficients)])
+        return np.stack([residual(op, *row, n_pilots) for row in zip(y, support, coefficients)])
     h = np.zeros(op.shape[1], dtype=complex)
     h[list(support)] = coefficients
-    return y - apply(op, h)
+    return y - apply(op, h, n_pilots)
 
 
 def _strongest_of(df: int, noncentrality: float, n_cells: int) -> float:

@@ -256,14 +256,15 @@ def test_criterion_6b_operator_matches_dense():
         n_bs = int(rng.choice([8, 12, 16]))
         tx_cb = dft_codebook(n_bs, n_bs, 6)
         rx_cb = group_columns(dft_codebook(4, 4, 6), 2)
-        op = replace(build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(n_bs), 3),
-                                            build_grid(ArrayGeometry(4), 3)), n_pilots=3)
-        dense = to_dense(op)
+        op = build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(n_bs), 3),
+                                    build_grid(ArrayGeometry(4), 3))
+        # 3 pilots: the stacked adjoint is the block's adjoint of the pilot sum
+        dense = to_dense(op, 3)
         h = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-        fwd = np.linalg.norm(apply(op, h) - dense @ h) / np.linalg.norm(dense @ h)
-        adj = (np.linalg.norm(op.adjoint_apply(y) - dense.conj().T @ y)
-               / np.linalg.norm(dense.conj().T @ y))
+        y = rng.standard_normal(dense.shape[0]) + 1j * rng.standard_normal(dense.shape[0])
+        fwd = np.linalg.norm(apply(op, h, 3) - dense @ h) / np.linalg.norm(dense @ h)
+        adj = (np.linalg.norm(op.adjoint_apply(y.reshape(3, -1).sum(axis=0))
+                              - dense.conj().T @ y) / np.linalg.norm(dense.conj().T @ y))
         worst = max(worst, fwd, adj)
     print("criterion 6b: worst apply/adjoint relative error %.2e (tol 1e-10)" % worst)
     assert worst <= 1e-10

@@ -15,7 +15,7 @@ from beamcs.detect import (BeamPair, beam_index_errors, beam_sin_values, cs_dete
                            exhaustive_search, omp, signed_circular_diff, true_pairs)
 from beamcs.metrics import single_beam_match
 from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
-from oracles import DenseOperator, residual, to_dense
+from oracles import DenseOperator, residual, stacked_omp, to_dense
 
 
 def make_channel(paths, n_bs=64, n_ue=8):
@@ -198,7 +198,7 @@ def test_gram_omp_matches_the_residual_loop_on_one_block():
             for snr_db in snrs:
                 y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
                             np.random.default_rng(200 + seed)).mean(axis=0).reshape(-1)
-                got, want = omp(op, y, 6), detect._stacked_omp(op, y, 6)
+                got, want = omp(op, y, 6), detect._stacked_omp(op, y[None], 6)
                 assert got.support == want.support
                 assert_allclose(got.coefficients, want.coefficients, rtol=1e-9)
                 assert_allclose(residual(op, y, got.support, got.coefficients),
@@ -378,7 +378,7 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
     for tx, rx in pairs:
         op = build_sensing_operator(tx, rx, *grids)
         assert not op.aliased
-        dense = DenseOperator(to_dense(replace(op, n_pilots=2)))
+        dense = DenseOperator(to_dense(op, 2))
         for seed in range(2):
             ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                                 np.random.default_rng(seed))
@@ -398,10 +398,10 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
                                 build_grid(ArrayGeometry(8), 3))
     assert op.aliased
     fits = []
-    stacked_omp = detect._stacked_omp
+    product_omp = detect._stacked_omp
 
     def recorded_omp(*args):
-        fits.append(stacked_omp(*args))
+        fits.append(product_omp(*args))
         return fits[-1]
 
     monkeypatch.setattr(detect, "_stacked_omp", recorded_omp)
@@ -410,9 +410,22 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
                             np.random.default_rng(seed))
         y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.01, np.random.default_rng(50 + seed))
         out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)[0]
-        want = stacked_omp(replace(op, n_pilots=10), y.reshape(-1), 6)
-        assert out.support == want.support == fits[-1].support
-        assert np.array_equal(fits[-1].coefficients, want.coefficients)
+        # the reference loop on the flat measurement and tiled columns
+        support, coefficients = stacked_omp(op, y, 6)
+        assert out.support == support == fits[-1].support
+        assert np.array_equal(fits[-1].coefficients, coefficients)
+
+
+def test_cs_detect_of_no_measurements_is_empty_for_both_operator_kinds():
+    rx = group_columns(dft_codebook(8, 8, 6), 4)
+    for n_ant in (64, 128):
+        op = build_sensing_operator(multi_beam_dft_codebook(n_ant, 64, 6), rx,
+                                    build_grid(ArrayGeometry(n_ant), 3),
+                                    build_grid(ArrayGeometry(8), 3))
+        assert op.aliased == (n_ant == 128)
+        assert cs_detect(op, [], sparsity=6, n_tx_beams=n_ant, n_rx_beams=8, n_pairs=2) == []
+        assert cs_detect(op, iter(()), sparsity=6, n_tx_beams=n_ant, n_rx_beams=8,
+                         n_pairs=2) == []
 
 
 def test_signed_circular_diff_representatives():

@@ -98,6 +98,13 @@ def test_validate_rejects_bad_configs():
         with pytest.raises(ValueError, match=r"sparsity must lie in \[1, 4608\]"):
             ExperimentConfig(sparsity=sparsity).validate()
     ExperimentConfig(sparsity=4608).validate()
+    # these passed, and the run failed after set-up with "'float' object
+    # cannot be interpreted as an integer"
+    for name, value in (("n_trials", 2.5), ("n_clusters", 1.5), ("n_pilots", 10.0),
+                        ("n_ant_bs", 64.0), ("workers", "2")):
+        with pytest.raises(ValueError, match="^%s must be an integer$" % name):
+            ExperimentConfig(**{name: value}).validate()
+    ExperimentConfig(n_trials=np.int64(2), master_seed=np.uint32(7)).validate()
 
 
 def test_validate_holds_the_es_energy_below_the_float_range():

@@ -5,7 +5,6 @@ recovery."""
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -182,16 +181,17 @@ def _raw_codebook(rng, n_entries, n_ant, n_cols):
 def test_operator_adjoint_identity(n_tx, n_rx, n_tx_entries, n_rx_entries, n_rf, n_pilots,
                                    tx_mult, rx_mult, seed):
     rng = np.random.default_rng(seed)
-    op = replace(build_sensing_operator(_raw_codebook(rng, n_tx_entries, n_tx, 1),
-                                        _raw_codebook(rng, n_rx_entries, n_rx, n_rf),
-                                        build_grid(ArrayGeometry(n_tx), tx_mult),
-                                        build_grid(ArrayGeometry(n_rx), rx_mult)),
-                 n_pilots=n_pilots)
+    op = build_sensing_operator(_raw_codebook(rng, n_tx_entries, n_tx, 1),
+                                _raw_codebook(rng, n_rx_entries, n_rx, n_rf),
+                                build_grid(ArrayGeometry(n_tx), tx_mult),
+                                build_grid(ArrayGeometry(n_rx), rx_mult))
     h = rng.standard_normal((op.shape[1], 2)) @ np.array([1.0, 1j])
-    r = rng.standard_normal((op.shape[0], 2)) @ np.array([1.0, 1j])
-    lhs = np.vdot(r, apply(op, h))
-    rhs = np.vdot(op.adjoint_apply(r), h)
-    scale = np.linalg.norm(to_dense(op)) * np.linalg.norm(h) * np.linalg.norm(r)
+    r = rng.standard_normal((n_pilots * op.shape[0], 2)) @ np.array([1.0, 1j])
+    # the block repeated over the pilots: its adjoint is the block's adjoint
+    # of the pilot sum
+    lhs = np.vdot(r, apply(op, h, n_pilots))
+    rhs = np.vdot(op.adjoint_apply(r.reshape(n_pilots, -1).sum(axis=0)), h)
+    scale = np.linalg.norm(to_dense(op, n_pilots)) * np.linalg.norm(h) * np.linalg.norm(r)
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
