@@ -256,31 +256,29 @@ def total_coherence(cb: Codebook, grid: GridDictionary) -> float:
     return _coherence_of_effective(cb.columns.T @ grid.atoms.conj())
 
 
-def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
-                      phase_bits: int = 6, rng: np.random.Generator | None = None,
+def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int,
+                      phase_bits: int, rng: np.random.Generator,
                       sweeps: int = 200) -> Codebook:
     """Coherence-minimizing refinement of the multi-beam codebook.
 
     Greedy coordinate descent: visit every (entry, constituent beam) slot
     once per sweep, draw one candidate rotation from the quantizer grid,
     keep it only if the total coherence strictly drops. Deterministic for
-    a fixed rng seed. With one beam per entry rotations are pure per-entry
-    phase shifts, which cannot change the coherence, so the DFT start is
-    returned as-is.
+    a fixed rng seed. The rotations are the whole search state; the phase
+    indices are derived from them once, at the end. With one beam per
+    entry rotations are pure per-entry phase shifts, which cannot change
+    the coherence, so the DFT start is returned as-is.
     """
-    if n_ant % n_entries:
-        raise ValueError("n_ant must be a multiple of n_entries")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    if grid.geometry.n_ant != n_ant:
+        raise ValueError("codebook and grid antenna counts differ")
+    start = multi_beam_dft_codebook(n_ant, n_entries, phase_bits)
     beams_per = n_ant // n_entries
+    if beams_per == 1:
+        return _from_indices(KIND_DESIGNED, phase_bits, start.phase_indices)
+
     levels = 1 << phase_bits
     rotations = np.zeros((n_entries, beams_per), dtype=np.int64)
     beam_angles = _beam_angles(n_ant, n_entries)
-    idx = _combined_indices(beam_angles, rotations, phase_bits)
-    start = _from_indices(KIND_DESIGNED, phase_bits, idx)
-    if beams_per == 1:
-        return start
-
     table = _phasor_table(phase_bits, n_ant)
     atoms_conj = grid.atoms.conj()
     # transmit-side effective dictionary: rows are slots, columns grid bins
@@ -294,19 +292,17 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int = 64,
                     continue
                 old = rotations[m, j]
                 rotations[m, j] = cand
-                cand_idx = _combined_indices(beam_angles[m:m + 1], rotations[m:m + 1],
-                                             phase_bits)
-                new_row = table[cand_idx[0, :, 0]] @ atoms_conj
                 old_row = eff[m].copy()
-                eff[m] = new_row
+                eff[m] = table[_combined_indices(beam_angles[m:m + 1], rotations[m:m + 1],
+                                                 phase_bits)[0, :, 0]] @ atoms_conj
                 score = _coherence_of_effective(eff)
                 if score < best:
                     best = score
-                    idx[m] = cand_idx[0]
                 else:
                     rotations[m, j] = old
                     eff[m] = old_row
-    return _from_indices(KIND_DESIGNED, phase_bits, idx)
+    return _from_indices(KIND_DESIGNED, phase_bits,
+                         _combined_indices(beam_angles, rotations, phase_bits))
 
 
 def save_codebook(cb: Codebook, path) -> None:

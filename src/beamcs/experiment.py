@@ -21,8 +21,12 @@ uses a stopping rule of its own.
 import argparse
 import dataclasses
 import math
+import numbers
+import os
 import sys
+import typing
 from collections import Counter
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +56,14 @@ _TAG_CHANNEL, _TAG_NOISE, _TAG_CODEBOOK, _TAG_DESIGN = 1, 2, 3, 4
 _ENERGY_HEADROOM = 1e3
 
 
+# per field annotation, how validate() names it and the types it admits, in
+# every item for a tuple; bool is an int in Python but no count or number here
+_FIELD_TYPES = {int: ("an integer", numbers.Integral), float: ("a real number", numbers.Real),
+                tuple[float, ...]: ("a sequence of real numbers", numbers.Real),
+                tuple[str, ...]: ("a sequence of strings", str),
+                str | os.PathLike: ("a str or a path", (str, os.PathLike))}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_ant_bs: int = 64
@@ -70,12 +82,12 @@ class ExperimentConfig:
     delay_max: float = 200e-9
     ray_angle_std: float = math.radians(2.0)
     sparsity: int = 0  # 0 means n_clusters * n_rays
-    snr_db: tuple = tuple(float(v) for v in range(-30, 35, 5))
+    snr_db: tuple[float, ...] = tuple(float(v) for v in range(-30, 35, 5))
     n_trials: int = 500
-    methods: tuple = (METHOD_ES, METHOD_OMP_RANDOM, METHOD_OMP_DFT)
+    methods: tuple[str, ...] = (METHOD_ES, METHOD_OMP_RANDOM, METHOD_OMP_DFT)
     master_seed: int = 12345
     designed_sweeps: int = 200
-    out_dir: str = "results"
+    out_dir: str | os.PathLike = "results"
     workers: int = 1
 
     @property
@@ -101,8 +113,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
-            if f.type is int and not isinstance(getattr(self, f.name), (int, np.integer)):
-                raise ValueError("%s must be an integer" % f.name)
+            what, admits = _FIELD_TYPES[f.type]
+            items = getattr(self, f.name)
+            if typing.get_origin(f.type) is not tuple:
+                items = [items]
+            if (isinstance(items, str) or not isinstance(items, Sequence)
+                    or not all(isinstance(v, admits) and not isinstance(v, bool) for v in items)):
+                raise ValueError("%s must be %s" % (f.name, what))
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError("unknown method %r (choose from %s)" % (m, ", ".join(METHODS)))
@@ -333,17 +350,11 @@ def _coerce(name: str, value: str):
     if name not in _FIELDS:
         raise ValueError("unknown config key")
     ftype = _FIELDS[name].type
-    if name == "snr_db":
-        if ":" in value:
-            return _parse_snr_range(value)
-        return tuple(float(v) for v in value.split(","))
-    if name == "methods":
-        return tuple(v.strip() for v in value.split(","))
-    if ftype is int:
-        return int(value)
-    if ftype is float:
-        return float(value)
-    return value
+    if name == "snr_db" and ":" in value:
+        return _parse_snr_range(value)
+    if typing.get_origin(ftype) is tuple:
+        return tuple(typing.get_args(ftype)[0](v.strip()) for v in value.split(","))
+    return ftype(value) if ftype in (int, float) else value
 
 
 def parse_config_file(path) -> dict:

@@ -64,7 +64,8 @@ def test_quantize_idempotent_on_grid():
     (128, 3, 6, 5, "8ebb3c496769ebad248e38e518abdb7a68aeabe0b291034c3cb76a621537b621"),
     (256, 3, 6, 2, "6c94afe93b98833b6120b765ede3b6074d056fe1386e5446f6693a25f7313681"),
     (128, 2, 4, 5, "b2ee4645f9b1e7cb745e114e7766eaa5e9f7ea60ccccf2261ec3714f1537d9ce"),
-], ids=["128ant-grid3-6bit", "256ant-grid3-6bit", "128ant-grid2-4bit"])
+    (128, 3, 8, 5, "2267c0e60bed329b08efcc7be06a5485a05b7e67590483cbf118f05f0582da97"),
+], ids=["128ant-grid3-6bit", "256ant-grid3-6bit", "128ant-grid2-4bit", "128ant-grid3-8bit"])
 def test_designed_phase_indices_digest(n_ant, grid_mult, phase_bits, sweeps, digest):
     grid = build_grid(ArrayGeometry(n_ant), grid_mult)
     d = designed_codebook(n_ant, grid, 64, phase_bits, np.random.default_rng(7), sweeps=sweeps)
@@ -195,6 +196,15 @@ def test_designed_single_beam_per_entry_is_dft():
     assert np.array_equal(d.phase_indices, dft_codebook(64, 64, 6).phase_indices)
     assert abs(total_coherence(d, grid) - total_coherence(dft_codebook(64, 64, 6), grid)) \
         <= 0.01 * total_coherence(d, grid)
+
+
+def test_designed_rejects_a_grid_of_another_array():
+    # the single-beam start never read the grid, and a 128-antenna search on
+    # a 64-antenna grid failed inside matmul with a gufunc shape message
+    for n_ant, grid_ant in ((64, 128), (128, 64)):
+        grid = build_grid(ArrayGeometry(grid_ant), 3)
+        with pytest.raises(ValueError, match="^codebook and grid antenna counts differ$"):
+            designed_codebook(n_ant, grid, 64, 6, np.random.default_rng(0))
 
 
 def test_designed_never_worse_than_multi_beam_start():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -105,6 +106,22 @@ def test_validate_rejects_bad_configs():
         with pytest.raises(ValueError, match="^%s must be an integer$" % name):
             ExperimentConfig(**{name: value}).validate()
     ExperimentConfig(n_trials=np.int64(2), master_seed=np.uint32(7)).validate()
+    # a bare float or string failed as "'float' object is not iterable" or
+    # "unknown method 'E'", bools passed as counts, and a bad out_dir failed
+    # in emit_csv after the whole run
+    for name, value, what in (("snr_db", 10.0, "a sequence of real numbers"),
+                              ("snr_db", (True,), "a sequence of real numbers"),
+                              ("snr_db", (0.0, "5"), "a sequence of real numbers"),
+                              ("methods", "ES", "a sequence of strings"),
+                              ("methods", ("ES", 1), "a sequence of strings"),
+                              ("n_trials", True, "an integer"),
+                              ("sample_rate", "491.52e6", "a real number"),
+                              ("delay_max", False, "a real number"),
+                              ("out_dir", 5, "a str or a path")):
+        with pytest.raises(ValueError, match="^%s must be %s$" % (name, what)):
+            ExperimentConfig(**{name: value}).validate()
+    ExperimentConfig(snr_db=[0.0, 5], methods=["ES"], out_dir=Path("out"),
+                     sample_rate=np.float32(4e8)).validate()
 
 
 def test_validate_holds_the_es_energy_below_the_float_range():
