@@ -3,14 +3,14 @@
 Trials are independent work units. All randomness is counter-seeded from
 the master seed: the channel of trial t from (master, 1, t), the noise of
 each (trial, snr, method) cell from (master, 2, t, snr_key, method_id),
-per-trial random codebooks from (master, 3, t, method_id) so one trial
+per-trial random codebooks from (master, 3, t, sweep_id) so one trial
 keeps its codebook across SNR points, and the designed-codebook build
 from (master, 4, n_ant_bs). Results are therefore byte-identical for any
 worker count: channels are shared across SNR points and methods (paired
 comparison), and aggregation sorts by (trial, snr, method) before any
-output is written. The noiseless sweep of each (trial, method) is built
-once and shared across SNR points; each SNR point only adds its noise,
-and the detector reads the SNR points of one (trial, method) together.
+output is written. The noiseless sweep of each (trial, sweep) is built
+once for all SNR points and every method that reads it; each SNR point
+only adds its noise, and each method reads all its SNR points together.
 
 Every detector is told n_pairs = len(truth), the number of distinct true
 beam pairs of the trial, and reports that many pairs. p_all and p_single
@@ -36,20 +36,21 @@ import numpy as np
 from . import codebooks
 from .arrays import ArrayGeometry, build_grid
 from .channel import ChannelParams, sample_channel
-from .codebooks import (designed_codebook, dft_codebook, group_columns,
+from .codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
+                        designed_codebook, dft_codebook, group_columns,
                         multi_beam_dft_codebook, random_codebook)
 from .detect import beam_index_errors, cs_detect, exhaustive_search, true_pairs
 from .metrics import TrialRecord, all_beam_match, detection_probability, single_beam_match
 from .sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
 
-METHOD_ES = "ES"
-METHOD_OMP_RANDOM = "OMP-Random"
-METHOD_OMP_DFT = "OMP-DFT"
-METHOD_OMP_MULTIBEAM = "OMP-MultiBeam"
-METHOD_OMP_DESIGNED = "OMP-Designed"
-METHODS = (METHOD_ES, METHOD_OMP_RANDOM, METHOD_OMP_DFT,
-           METHOD_OMP_MULTIBEAM, METHOD_OMP_DESIGNED)
+# each method is a detector that reads one sweep, named by its tx codebook
+# kind; ES is the only detector that is not OMP
+_SWEEP_KIND = {"ES": KIND_DFT, "OMP-Random": KIND_RANDOM, "OMP-DFT": KIND_DFT,
+               "OMP-MultiBeam": KIND_MULTI_BEAM, "OMP-Designed": KIND_DESIGNED}
+METHODS = tuple(_SWEEP_KIND)
 _METHOD_ID = {name: i for i, name in enumerate(METHODS)}
+# a sweep's id, which seeds its random codebooks, is that of the first method reading it
+_SWEEP_ID = {kind: list(_SWEEP_KIND.values()).index(kind) for kind in _SWEEP_KIND.values()}
 
 _TAG_CHANNEL, _TAG_NOISE, _TAG_CODEBOOK, _TAG_DESIGN = 1, 2, 3, 4
 # headroom for the noise tail of an energy summed over the pilots
@@ -84,7 +85,7 @@ class ExperimentConfig:
     sparsity: int = 0  # 0 means n_clusters * n_rays
     snr_db: tuple[float, ...] = tuple(float(v) for v in range(-30, 35, 5))
     n_trials: int = 500
-    methods: tuple[str, ...] = (METHOD_ES, METHOD_OMP_RANDOM, METHOD_OMP_DFT)
+    methods: tuple[str, ...] = METHODS[:3]
     master_seed: int = 12345
     designed_sweeps: int = 200
     out_dir: str | os.PathLike = "results"
@@ -142,18 +143,20 @@ class ExperimentConfig:
                                  % (self.phase_bits, name, getattr(self, name))) from None
         self.sweep  # its constructor checks the pilot block
         self.channel_params  # its constructor checks the channel fields
-        multi_beam = [m for m in self.methods if m in (METHOD_OMP_MULTIBEAM, METHOD_OMP_DESIGNED)]
+        multi_beam = [m for m in self.methods
+                      if _SWEEP_KIND[m] in (KIND_MULTI_BEAM, KIND_DESIGNED)]
         if multi_beam and self.n_ant_bs % self.n_tx_entries:
             raise ValueError("%s requires n_ant_bs to be a multiple of n_tx_entries"
                              % multi_beam[0])
         if self.n_rx_beams > self.n_ant_ue:
             raise ValueError("n_rx_entries * n_rf_ue must not exceed n_ant_ue")
-        if {METHOD_ES, METHOD_OMP_DFT} & set(self.methods) and self.n_tx_entries > self.n_ant_bs:
-            raise ValueError("ES and OMP-DFT use a DFT tx codebook: n_tx_entries ≤ n_ant_bs")
-        if METHOD_ES in self.methods and self.n_tx_entries < self.n_tx_beams:
+        if KIND_DFT in map(_SWEEP_KIND.get, self.methods) and self.n_tx_entries > self.n_ant_bs:
+            raise ValueError("%s use a DFT tx codebook: n_tx_entries ≤ n_ant_bs"
+                             % " and ".join(m for m in METHODS if _SWEEP_KIND[m] == KIND_DFT))
+        if "ES" in self.methods and self.n_tx_entries < self.n_tx_beams:
             raise ValueError("exhaustive search requires one sweep entry per transmit beam: "
                              "n_tx_entries ≥ n_ant_bs")
-        omp_methods = [m for m in self.methods if m != METHOD_ES]
+        omp_methods = [m for m in self.methods if m != "ES"]
         if omp_methods and (self.n_ant_ue * self.rx_grid_mult) % self.n_rx_beams:
             raise ValueError("%s requires n_ant_ue * rx_grid_mult to be a multiple of "
                              "n_rx_entries * n_rf_ue" % omp_methods[0])
@@ -197,32 +200,28 @@ def _noise_var(snr_db: float) -> float:
 
 
 def _build_assets(cfg: ExperimentConfig) -> dict:
-    """Everything shared across trials: grids, combiners, static codebooks
-    and their operators."""
+    """Everything shared across trials: grids, combiners, and each static
+    sweep's tx codebook and operator."""
     bs = ArrayGeometry(cfg.n_ant_bs)
     ue = ArrayGeometry(cfg.n_ant_ue)
     tx_grid = build_grid(bs, cfg.tx_grid_mult)
     rx_grid = build_grid(ue, cfg.rx_grid_mult)
     rx_dft = group_columns(dft_codebook(cfg.n_ant_ue, cfg.n_rx_beams, cfg.phase_bits),
                            cfg.n_rf_ue)
-    tx_dft = (dft_codebook(cfg.n_ant_bs, cfg.n_tx_entries, cfg.phase_bits)
-              if {METHOD_ES, METHOD_OMP_DFT} & set(cfg.methods) else None)
     assets = {"bs": bs, "ue": ue, "tx_grid": tx_grid, "rx_grid": rx_grid,
-              "rx_dft": rx_dft, "tx_cb": {}, "op": {}}
-    for method in cfg.methods:
-        if method == METHOD_OMP_RANDOM:
+              "rx_dft": rx_dft, "sweeps": {}}
+    for kind in dict.fromkeys(map(_SWEEP_KIND.get, cfg.methods)):
+        if kind == KIND_RANDOM:  # drawn per trial
             continue
-        if method in (METHOD_ES, METHOD_OMP_DFT):
-            tx_cb = tx_dft
-        elif method == METHOD_OMP_MULTIBEAM:
+        if kind == KIND_DFT:
+            tx_cb = dft_codebook(cfg.n_ant_bs, cfg.n_tx_entries, cfg.phase_bits)
+        elif kind == KIND_MULTI_BEAM:
             tx_cb = multi_beam_dft_codebook(cfg.n_ant_bs, cfg.n_tx_entries, cfg.phase_bits)
         else:
             rng = np.random.default_rng(_seed(cfg.master_seed, _TAG_DESIGN, cfg.n_ant_bs))
             tx_cb = designed_codebook(cfg.n_ant_bs, tx_grid, cfg.n_tx_entries,
                                       cfg.phase_bits, rng, sweeps=cfg.designed_sweeps)
-        assets["tx_cb"][method] = tx_cb
-        if method != METHOD_ES:
-            assets["op"][method] = build_sensing_operator(tx_cb, rx_dft, tx_grid, rx_grid)
+        assets["sweeps"][kind] = (tx_cb, build_sensing_operator(tx_cb, rx_dft, tx_grid, rx_grid))
     return assets
 
 
@@ -232,36 +231,32 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
     truth = true_pairs(ch, cfg.n_tx_beams, cfg.n_rx_beams)
     n_pairs = len(truth)
     records = []
-    for method in cfg.methods:
-        mid = _METHOD_ID[method]
-        if method == METHOD_OMP_RANDOM:
-            cb_rng = np.random.default_rng(_seed(cfg.master_seed, _TAG_CODEBOOK, t, mid))
-            tx_cb = random_codebook(cfg.n_ant_bs, cfg.n_tx_entries, 1,
-                                    cfg.phase_bits, cb_rng)
+    for kind in dict.fromkeys(map(_SWEEP_KIND.get, cfg.methods)):
+        if kind == KIND_RANDOM:
+            cb_rng = np.random.default_rng(_seed(cfg.master_seed, _TAG_CODEBOOK, t,
+                                                 _SWEEP_ID[kind]))
+            tx_cb = random_codebook(cfg.n_ant_bs, cfg.n_tx_entries, 1, cfg.phase_bits, cb_rng)
             rx_cb = random_codebook(cfg.n_ant_ue, cfg.n_rx_entries, cfg.n_rf_ue,
                                     cfg.phase_bits, cb_rng)
             op = build_sensing_operator(tx_cb, rx_cb, assets["tx_grid"], assets["rx_grid"])
         else:
-            tx_cb = assets["tx_cb"][method]
-            rx_cb = assets["rx_dft"]
-            op = assets["op"].get(method)
+            (tx_cb, op), rx_cb = assets["sweeps"][kind], assets["rx_dft"]
         signal = sweep_signal(ch, tx_cb, rx_cb, cfg.sweep)
-        # one measurement per SNR point, drawn as the detector reads it
-        ys = (acquire(signal, rx_cb, _noise_var(snr), np.random.default_rng(
-                  _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), mid)))
-              for snr in cfg.snr_db)
-        if method == METHOD_ES:
-            outcomes = [exhaustive_search(y, n_pairs) for y in ys]
-        else:
-            outcomes = cs_detect(op, ys, cfg.effective_sparsity,
-                                 cfg.n_tx_beams, cfg.n_rx_beams, n_pairs)
-        for snr, out in zip(cfg.snr_db, outcomes):
-            tx_err, rx_err = beam_index_errors(out.estimated, truth,
-                                               cfg.n_tx_beams, cfg.n_rx_beams)
-            records.append(TrialRecord(t, float(snr), method,
-                                       all_beam_match(out.estimated, truth),
-                                       single_beam_match(out.estimated, truth),
-                                       tuple(tx_err), tuple(rx_err)))
+        for method in (m for m in cfg.methods if _SWEEP_KIND[m] == kind):
+            # one measurement per SNR point, drawn as the detector reads it
+            ys = (acquire(signal, rx_cb, _noise_var(snr), np.random.default_rng(
+                      _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), _METHOD_ID[method])))
+                  for snr in cfg.snr_db)
+            outcomes = ([exhaustive_search(y, n_pairs) for y in ys] if method == "ES" else
+                        cs_detect(op, ys, cfg.effective_sparsity,
+                                  cfg.n_tx_beams, cfg.n_rx_beams, n_pairs))
+            for snr, out in zip(cfg.snr_db, outcomes):
+                tx_err, rx_err = beam_index_errors(out.estimated, truth,
+                                                   cfg.n_tx_beams, cfg.n_rx_beams)
+                records.append(TrialRecord(t, float(snr), method,
+                                           all_beam_match(out.estimated, truth),
+                                           single_beam_match(out.estimated, truth),
+                                           tuple(tx_err), tuple(rx_err)))
     return records
 
 
@@ -358,12 +353,12 @@ def _coerce(name: str, value: str):
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value text; blank lines and # comments ignored; keys must
-    be ExperimentConfig field names."""
+    """Flat key=value text; keys must be ExperimentConfig field names.
+    A # starts a comment anywhere on a line, and blank lines are ignored."""
     overrides = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError("line %d is not key=value: %r" % (lineno, raw))

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import beamcs.experiment
 from beamcs import codebooks
 from beamcs.experiment import (METHODS, ExperimentConfig, _build_assets, _parse_snr_range,
                                emit_csv, main, parse_config_file, run_experiment)
@@ -182,7 +183,7 @@ def test_golden_bytes(tmp_path):
 def test_only_the_multi_beam_workload_operator_is_aliased():
     # the benchmark's mc-default and mc-scale128 operators
     default = _build_assets(ExperimentConfig())
-    assert not default["op"]["OMP-DFT"].aliased
+    assert not default["sweeps"][codebooks.KIND_DFT][1].aliased
     rng = np.random.default_rng(0)
     for _ in range(3):  # OMP-Random draws fresh codebooks per trial
         op = build_sensing_operator(codebooks.random_codebook(64, 64, 1, 6, rng),
@@ -194,8 +195,8 @@ def test_only_the_multi_beam_workload_operator_is_aliased():
         assert not parallel_columns(op.rx_factor).any()
     scale = _build_assets(ExperimentConfig(n_ant_bs=128, methods=("OMP-MultiBeam", "OMP-Designed"),
                                            snr_db=(20.0,), designed_sweeps=20))
-    assert scale["op"]["OMP-MultiBeam"].aliased
-    assert not scale["op"]["OMP-Designed"].aliased
+    assert scale["sweeps"][codebooks.KIND_MULTI_BEAM][1].aliased
+    assert not scale["sweeps"][codebooks.KIND_DESIGNED][1].aliased
 
 
 def test_exhaustive_search_rejected_beyond_codebook_size():
@@ -223,9 +224,10 @@ def test_parse_snr_range():
 
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("# comment\n\nn_trials = 25\nsnr_db = -10:10:10\n"
-                 "methods = ES, OMP-DFT\nmaster_seed=7\ndelay_max = 1e-7\n",
-                 encoding="utf-8")
+    # a # starts a comment anywhere on a line
+    p.write_text("# comment\n\nn_trials = 25  # trials\nsnr_db = -10:10:10\n"
+                 "  # indented\nmethods = ES, OMP-DFT\nmaster_seed=7# seed\n"
+                 "delay_max = 1e-7\n", encoding="utf-8")
     got = parse_config_file(p)
     assert got == {"n_trials": 25, "snr_db": (-10.0, 0.0, 10.0),
                    "methods": ("ES", "OMP-DFT"), "master_seed": 7, "delay_max": 1e-7}
@@ -300,6 +302,22 @@ def test_channel_shared_across_methods_and_snrs(tiny_run):
         by_trial.setdefault(r.trial, set()).add(len(r.tx_errors))
     for sizes in by_trial.values():
         assert len(sizes) == 1
+
+
+def test_one_sweep_signal_per_trial_and_sweep():
+    # ES and OMP-DFT read one DFT sweep, OMP-Random its random sweep
+    with mock.patch.object(beamcs.experiment, "sweep_signal",
+                           wraps=beamcs.experiment.sweep_signal) as spy:
+        run_experiment(ExperimentConfig(**TINY))
+    assert spy.call_count == 2 * TINY["n_trials"]
+
+
+def test_method_records_do_not_depend_on_the_other_methods(tiny_run):
+    _, together, _ = tiny_run
+    for methods in (("OMP-DFT",), ("ES",), ("OMP-Random",), ("ES", "OMP-DFT"),
+                    ("OMP-DFT", "ES")):
+        alone, _ = run_experiment(ExperimentConfig(**{**TINY, "methods": methods}))
+        assert alone == [r for r in together if r.method in methods], methods
 
 
 def test_snr_point_records_do_not_depend_on_the_rest_of_the_grid():
