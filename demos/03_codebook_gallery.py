@@ -8,14 +8,10 @@ quantization, and compares total coherence, the figure of merit that
 predicts sparse-recovery quality: lower is better.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from beamcs import (ArrayGeometry, build_grid, designed_codebook, dft_codebook,
-                    load_codebook, multi_beam_dft_codebook, random_codebook,
-                    save_codebook, total_coherence)
+                    multi_beam_dft_codebook, random_codebook, total_coherence)
 
 rng = np.random.default_rng(11)
 
@@ -53,10 +49,3 @@ print("  designed:       %10.2f" % total_coherence(dz, grid))
 grid64 = build_grid(ArrayGeometry(64), 3)
 print("\n64 antennas for reference:")
 print("  DFT:            %10.2f" % total_coherence(dft, grid64))
-
-# codebooks serialize to a text format that round-trips bit-exactly
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "designed_128.cbk"
-    save_codebook(dz, path)
-    back = load_codebook(path)
-print("\nserialization round-trip exact:", bool(np.array_equal(back.entries, dz.entries)))

@@ -30,7 +30,6 @@ Kinds:
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +39,6 @@ KIND_DFT = "DFT"
 KIND_RANDOM = "Random"
 KIND_MULTI_BEAM = "MultiBeamDFT"
 KIND_DESIGNED = "Designed"
-KINDS = (KIND_DFT, KIND_RANDOM, KIND_MULTI_BEAM, KIND_DESIGNED)
 
 # |combined atom sum| below tol * n_summed counts as exact cancellation
 _ZERO_SUM_TOL = 1e-9
@@ -92,6 +90,8 @@ def _phasor_table(phase_bits: int, n_ant: int) -> np.ndarray:
     exact for numpy's complex abs on the CPU at hand: below numpy's X86_V3
     dispatch level its kernel rounds differently and 557 of the 1,024 tables
     at 4/6/8/10 bits and n_ant <= 256 differ (not 6 bits at 8/64/128/256)."""
+    if phase_bits > 16:  # every builder reads this table of 2**phase_bits entries
+        raise ValueError("phase_bits must not exceed 16")
     amp = math.sqrt(1.0 / n_ant)
     levels = 1 << phase_bits
     raw = amp * np.exp(2j * np.pi * np.arange(levels) / levels)
@@ -304,41 +304,3 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int,
     return _from_indices(KIND_DESIGNED, phase_bits,
                          _combined_indices(beam_angles, rotations, phase_bits))
 
-
-def save_codebook(cb: Codebook, path) -> None:
-    """Text form: header `n_ant n_entries n_cols phase_bits kind`, then one
-    line of integer phase indices per entry column (entry-major)."""
-    lines = ["%d %d %d %d %s" % (cb.n_ant, cb.n_entries, cb.n_cols, cb.phase_bits, cb.kind)]
-    for m in range(cb.n_entries):
-        for c in range(cb.n_cols):
-            lines.append(" ".join(str(v) for v in cb.phase_indices[m, :, c]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_codebook(path) -> Codebook:
-    """Inverse of save_codebook; round-trips bit-exactly."""
-    text = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    head = text[0].split()
-    if len(head) != 5:
-        raise ValueError("malformed codebook header")
-    n_ant, n_entries, n_cols, phase_bits = (int(v) for v in head[:4])
-    for name, v in (("n_ant", n_ant), ("n_entries", n_entries), ("n_cols", n_cols)):
-        if v < 1:
-            raise ValueError("codebook header: %s must be positive" % name)
-    if not 1 <= phase_bits <= 16:  # the phase table holds 2**phase_bits entries
-        raise ValueError("codebook header: phase_bits must lie in [1, 16]")
-    kind = head[4]
-    if kind not in KINDS:
-        raise ValueError("unknown codebook kind %r" % kind)
-    body = text[1:]
-    if len(body) != n_entries * n_cols:
-        raise ValueError("expected %d index lines, found %d" % (n_entries * n_cols, len(body)))
-    idx = np.empty((n_entries, n_ant, n_cols), dtype=np.int64)
-    levels = 1 << phase_bits
-    for m in range(n_entries):
-        for c in range(n_cols):
-            row = np.array([int(v) for v in body[m * n_cols + c].split()], dtype=np.int64)
-            if row.size != n_ant or row.min() < 0 or row.max() >= levels:
-                raise ValueError("bad index line for entry %d column %d" % (m, c))
-            idx[m, :, c] = row
-    return _from_indices(kind, phase_bits, idx)

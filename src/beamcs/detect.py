@@ -215,9 +215,9 @@ def cs_detect(op: SensingOperator, ys, sparsity: int, n_tx_beams: int,
     coefficients agree with the stacked fit in exact arithmetic. ys is
     read once, so a generator keeps one full measurement live at a time.
     An aliased op (see `SensingOperator`) is fitted by `_stacked_omp` on
-    each measurement's pilots instead, one measurement at a time, because
-    among its parallel columns rounding picks the winner and the recorded
-    picks follow that loop's rounding.
+    each measurement's pilots instead, because among its parallel columns
+    rounding picks the winner and the recorded picks follow that loop's
+    rounding; each measurement is fitted and ranked before the next is read.
 
     Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bins
     round to beams, and the first n_pairs distinct pairs by coefficient
@@ -230,16 +230,15 @@ def cs_detect(op: SensingOperator, ys, sparsity: int, n_tx_beams: int,
         raise ValueError("grid sizes must be multiples of the beam counts")
     if not 1 <= n_pairs <= n_tx_beams * n_rx_beams:
         raise ValueError("n_pairs must lie in [1, %d]" % (n_tx_beams * n_rx_beams))
-    if op.aliased:
-        stacks = [y.reshape(len(y), -1) for y in ys]
-        fits = [_stacked_omp(op, y, sparsity) for y in stacks]
-    else:
-        stacks = [y.mean(axis=0).reshape(1, -1) for y in ys]  # one-pilot stacks
-        batch = omp(op, np.reshape(stacks, (-1, op.shape[0])), sparsity)
-        fits = [OmpResult(s, c, b in batch.ridge_flagged)
-                for b, (s, c) in enumerate(zip(batch.support, batch.coefficients))]
-    return [_rank_pairs(op, y, fit, n_tx_beams, n_rx_beams, n_pairs)
-            for y, fit in zip(stacks, fits)]
+    if op.aliased:  # each measurement is fitted and ranked before the next is read
+        stacks = (y.reshape(len(y), -1) for y in ys)
+        return [_rank_pairs(op, y, _stacked_omp(op, y, sparsity), n_tx_beams, n_rx_beams,
+                            n_pairs) for y in stacks]
+    means = [y.mean(axis=0).reshape(1, -1) for y in ys]  # one-pilot stacks
+    batch = omp(op, np.reshape(means, (-1, op.shape[0])), sparsity)
+    return [_rank_pairs(op, y, OmpResult(s, c, b in batch.ridge_flagged), n_tx_beams,
+                        n_rx_beams, n_pairs)
+            for b, (y, s, c) in enumerate(zip(means, batch.support, batch.coefficients))]
 
 
 def _rank_pairs(op: SensingOperator, y: np.ndarray, fit: OmpResult, n_tx_beams: int,

@@ -29,6 +29,7 @@ from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +134,6 @@ class ExperimentConfig:
                      "rx_grid_mult"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
-        if self.phase_bits > 16:  # the phase table holds 2**phase_bits entries
-            raise ValueError("phase_bits must not exceed 16")
         for name in ("n_ant_bs", "n_ant_ue"):
             try:
                 codebooks._phasor_table(self.phase_bits, getattr(self, name))
@@ -277,11 +276,12 @@ def run_experiment(cfg: ExperimentConfig):
     (trial, snr, method) and their per-(snr, method) aggregates."""
     cfg.validate()
     assets = _build_assets(cfg)
-    if cfg.workers == 1:
+    workers = min(cfg.workers, cfg.n_trials)  # a pool starts all its workers at once
+    if workers == 1:
         per_trial = [_run_trial(t, cfg, assets) for t in range(cfg.n_trials)]
     else:
-        chunk = max(1, cfg.n_trials // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_worker_init,
+        chunk = max(1, cfg.n_trials // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                  initargs=(cfg, assets)) as pool:
             per_trial = list(pool.map(_worker_task, range(cfg.n_trials), chunksize=chunk))
     records = [r for chunk_records in per_trial for r in chunk_records]
@@ -324,18 +324,23 @@ def emit_csv(records, stats, out_dir) -> tuple:
 
 
 def _parse_snr_range(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("snr range must be start:step:stop")
-    start, step, stop = (float(p) for p in parts)
+    """start:step:stop; point i is start + i * step in decimal arithmetic,
+    rounded once to a float, so it is the value written."""
+    try:
+        start, step, stop = map(Decimal, text.split(":"))
+    except (ValueError, InvalidOperation):  # not three parts, or not numbers
+        raise ValueError("snr range must be start:step:stop") from None
     if not all(math.isfinite(v) for v in (start, step, stop)):
         raise ValueError("snr range must be finite")
     if step <= 0:
         raise ValueError("snr step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if n < 1:
+    if stop < start:
         raise ValueError("empty snr range")
-    return tuple(start + step * i for i in range(n))
+    try:
+        n = int((stop - start) // step) + 1
+    except InvalidOperation:  # the exact quotient has more digits than the context
+        raise ValueError("snr range has more than 10**28 points") from None
+    return tuple(float(start + step * i) for i in range(n))
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -353,9 +358,10 @@ def _coerce(name: str, value: str):
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value text; keys must be ExperimentConfig field names.
-    A # starts a comment anywhere on a line, and blank lines are ignored."""
-    overrides = {}
+    """Flat key=value text; keys must be ExperimentConfig field names, each
+    given once. A # starts a comment anywhere on a line, and blank lines
+    are ignored."""
+    overrides, set_on = {}, {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -364,9 +370,12 @@ def parse_config_file(path) -> dict:
             raise ValueError("line %d is not key=value: %r" % (lineno, raw))
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            overrides[key] = _coerce(key, value)
+            value = _coerce(key, value)
+            if key in set_on:
+                raise ValueError("already set on line %d" % set_on[key])
         except ValueError as exc:
             raise ValueError("line %d, key %r: %s" % (lineno, key, exc)) from None
+        overrides[key], set_on[key] = value, lineno
     return overrides
 
 

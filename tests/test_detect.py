@@ -416,6 +416,38 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
         assert np.array_equal(fits[-1].coefficients, coefficients)
 
 
+def test_cs_detect_fits_each_aliased_measurement_before_reading_the_next(monkeypatch):
+    tx = multi_beam_dft_codebook(128, 64, 6)
+    rx = group_columns(dft_codebook(8, 8, 6), 4)
+    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(128), 3),
+                                build_grid(ArrayGeometry(8), 3))
+    assert op.aliased
+    ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
+                        np.random.default_rng(4))
+    signal = sweep_signal(ch, tx, rx, SweepConfig(n_pilots=2))
+    drawn = []
+
+    def measurements():
+        for k in range(3):
+            drawn.append(k)
+            yield acquire(signal, rx, 0.01, np.random.default_rng(k))
+
+    want = cs_detect(op, list(measurements()), sparsity=6, n_tx_beams=128, n_rx_beams=8,
+                     n_pairs=2)
+    drawn.clear()
+    drawn_at_fit = []
+    stacked_omp = detect._stacked_omp
+
+    def counted_omp(*args):
+        drawn_at_fit.append(len(drawn))
+        return stacked_omp(*args)
+
+    monkeypatch.setattr(detect, "_stacked_omp", counted_omp)
+    got = cs_detect(op, measurements(), sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)
+    assert drawn_at_fit == [1, 2, 3]
+    assert got == want
+
+
 def test_cs_detect_of_no_measurements_is_empty_for_both_operator_kinds():
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     for n_ant in (64, 128):

@@ -211,6 +211,9 @@ def test_parse_snr_range():
     assert _parse_snr_range("-30:5:30") == tuple(float(v) for v in range(-30, 35, 5))
     assert _parse_snr_range("0:5:0") == (0.0,)
     assert _parse_snr_range("-10:2.5:-5") == (-10.0, -7.5, -5.0)
+    # each point is the float nearest its decimal value, not a sum of floats
+    assert _parse_snr_range("0:0.3:1") == (0.0, 0.3, 0.6, 0.9)
+    assert _parse_snr_range("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
     with pytest.raises(ValueError):
         _parse_snr_range("0:5")
     with pytest.raises(ValueError):
@@ -220,6 +223,11 @@ def test_parse_snr_range():
     for text in ("nan:5:10", "0:nan:10", "0:5:inf"):
         with pytest.raises(ValueError, match="snr range must be finite"):
             _parse_snr_range(text)
+    for text in ("0:5:10:15", "0:x:10"):
+        with pytest.raises(ValueError, match="^snr range must be start:step:stop$"):
+            _parse_snr_range(text)
+    with pytest.raises(ValueError, match="more than 10\\*\\*28 points"):
+        _parse_snr_range("0:1e-40:1")
 
 
 def test_parse_config_file(tmp_path):
@@ -256,6 +264,14 @@ def test_parse_config_file_names_the_line_and_key_of_a_bad_value(tmp_path):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=where):
             parse_config_file(p)
+
+
+def test_parse_config_file_rejects_a_key_given_twice(tmp_path):
+    # the last value won silently
+    p = tmp_path / "run.cfg"
+    p.write_text("n_trials = 5\n# more\nn_trials = 7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 3, key 'n_trials': already set on line 1$"):
+        parse_config_file(p)
 
 
 def test_parse_config_file_rejects_non_assignment(tmp_path):
@@ -310,6 +326,34 @@ def test_one_sweep_signal_per_trial_and_sweep():
                            wraps=beamcs.experiment.sweep_signal) as spy:
         run_experiment(ExperimentConfig(**TINY))
     assert spy.call_count == 2 * TINY["n_trials"]
+
+
+def test_run_experiment_starts_at_most_one_worker_per_trial(tiny_run):
+    # a process pool starts all of its workers at once; this one runs the
+    # trials in-process and records its size
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    with (mock.patch.object(beamcs.experiment, "ProcessPoolExecutor", InlinePool),
+          mock.patch.dict(beamcs.experiment._WORKER_STATE)):
+        for workers in (64, 3):
+            records, _ = run_experiment(ExperimentConfig(**{**TINY, "workers": workers}))
+            assert records == tiny_run[1]
+        run_experiment(ExperimentConfig(**{**TINY, "n_trials": 1, "workers": 4}))
+    assert sizes == [TINY["n_trials"], 3]
 
 
 def test_method_records_do_not_depend_on_the_other_methods(tiny_run):

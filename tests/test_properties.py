@@ -1,7 +1,6 @@
 """Property tests over the phasor table, codebook construction and layout,
 the coherence score of the designed search, the circular beam difference,
-codebook serialization, the sensing operator's adjoint and OMP's exact
-recovery."""
+the sensing operator's adjoint and OMP's exact recovery."""
 
 import math
 from contextlib import contextmanager
@@ -16,8 +15,7 @@ from beamcs import codebooks
 from beamcs.arrays import ArrayGeometry, build_grid
 from beamcs.codebooks import (Codebook, _beam_angles, _coherence_of_effective,
                               _combined_indices, _phasor_table, _quantize_indices,
-                              dft_codebook, group_columns, load_codebook, random_codebook,
-                              save_codebook)
+                              dft_codebook, group_columns, random_codebook)
 from beamcs.detect import omp, signed_circular_diff
 from beamcs.sweep import build_sensing_operator
 from oracles import DenseOperator, apply, residual, to_dense
@@ -149,24 +147,6 @@ def test_signed_circular_diff_range(n, est, true):
     d = signed_circular_diff(est, true, n)
     assert -(n // 2) <= d < n - n // 2
     assert (d - (est - true)) % n == 0
-
-
-@PROPS
-@given(n_ant=st.integers(1, 16), n_entries=st.integers(1, 6), n_cols=st.integers(1, 3),
-       phase_bits=st.integers(1, 8), kind=st.sampled_from(codebooks.KINDS),
-       seed=st.integers(0, 2**32 - 1))
-def test_save_load_round_trip_exact(tmp_path_factory, n_ant, n_entries, n_cols, phase_bits,
-                                    kind, seed):
-    path = tmp_path_factory.mktemp("cbk") / "cb.txt"
-    with index_valued_entries():
-        drawn = random_codebook(n_ant, n_entries, n_cols, phase_bits,
-                                np.random.default_rng(seed))
-        cb = Codebook(kind, phase_bits, drawn.phase_indices, drawn.entries)
-        save_codebook(cb, path)
-        back = load_codebook(path)
-    assert (back.kind, back.n_ant, back.phase_bits) == (kind, n_ant, phase_bits)
-    assert np.array_equal(back.phase_indices, cb.phase_indices)
-    assert np.array_equal(back.entries, cb.entries)
 
 
 def _raw_codebook(rng, n_entries, n_ant, n_cols):
