@@ -54,6 +54,8 @@ _METHOD_ID = {name: i for i, name in enumerate(METHODS)}
 _SWEEP_ID = {kind: list(_SWEEP_KIND.values()).index(kind) for kind in _SWEEP_KIND.values()}
 
 _TAG_CHANNEL, _TAG_NOISE, _TAG_CODEBOOK, _TAG_DESIGN = 1, 2, 3, 4
+# OMP's angle grids oversample both arrays this many times
+_GRID_MULT = 3
 # headroom for the noise tail of an energy summed over the pilots
 _ENERGY_HEADROOM = 1e3
 
@@ -74,16 +76,13 @@ class ExperimentConfig:
     phase_bits: int = 6
     n_tx_entries: int = 64
     n_rx_entries: int = 2
-    tx_grid_mult: int = 3
-    rx_grid_mult: int = 3
-    n_fft: int = 4096
-    sample_rate: float = 491.52e6
-    n_pilots: int = 10
-    n_clusters: int = 2
-    n_rays: int = 3
-    delay_max: float = 200e-9
-    ray_angle_std: float = math.radians(2.0)
-    sparsity: int = 0  # 0 means n_clusters * n_rays
+    n_fft: int = SweepConfig.n_fft
+    sample_rate: float = SweepConfig.sample_rate
+    n_pilots: int = SweepConfig.n_pilots
+    n_clusters: int = ChannelParams.n_clusters
+    n_rays: int = ChannelParams.n_rays
+    delay_max: float = ChannelParams.delay_max
+    ray_angle_std: float = ChannelParams.ray_angle_std
     snr_db: tuple[float, ...] = tuple(float(v) for v in range(-30, 35, 5))
     n_trials: int = 500
     methods: tuple[str, ...] = METHODS[:3]
@@ -102,7 +101,8 @@ class ExperimentConfig:
 
     @property
     def effective_sparsity(self) -> int:
-        return self.sparsity if self.sparsity else self.n_clusters * self.n_rays
+        """OMP's pick count, one per channel path; the benchmark checks reports against it."""
+        return self.n_clusters * self.n_rays
 
     @property
     def channel_params(self) -> ChannelParams:
@@ -130,8 +130,7 @@ class ExperimentConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method in methods: %s" % ", ".join(self.methods))
         for name in ("n_trials", "n_ant_bs", "n_ant_ue", "n_tx_entries", "n_rx_entries",
-                     "n_rf_ue", "n_fft", "n_pilots", "phase_bits", "tx_grid_mult",
-                     "rx_grid_mult"):
+                     "n_rf_ue", "n_fft", "n_pilots", "phase_bits"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
         for name in ("n_ant_bs", "n_ant_ue"):
@@ -156,19 +155,19 @@ class ExperimentConfig:
             raise ValueError("exhaustive search requires one sweep entry per transmit beam: "
                              "n_tx_entries ≥ n_ant_bs")
         omp_methods = [m for m in self.methods if m != "ES"]
-        if omp_methods and (self.n_ant_ue * self.rx_grid_mult) % self.n_rx_beams:
-            raise ValueError("%s requires n_ant_ue * rx_grid_mult to be a multiple of "
-                             "n_rx_entries * n_rf_ue" % omp_methods[0])
+        if omp_methods and (_GRID_MULT * self.n_ant_ue) % self.n_rx_beams:
+            raise ValueError("%s requires %d * n_ant_ue to be a multiple of "
+                             "n_rx_entries * n_rf_ue" % (omp_methods[0], _GRID_MULT))
         if self.designed_sweeps < 0:
             raise ValueError("designed_sweeps must be non-negative")
-        n_bins = self.n_ant_bs * self.tx_grid_mult * self.n_ant_ue * self.rx_grid_mult
-        if not 1 <= self.effective_sparsity <= n_bins:
-            raise ValueError("sparsity must lie in [1, %d] (0 means n_clusters * n_rays)"
-                             % n_bins)
+        n_bins = _GRID_MULT ** 2 * self.n_ant_bs * self.n_ant_ue
+        if self.effective_sparsity > n_bins:
+            raise ValueError("n_clusters * n_rays must not exceed the grid's %d bins" % n_bins)
         if not self.snr_db:
             raise ValueError("snr_db must not be empty")
-        if not all(math.isfinite(s) for s in self.snr_db):
-            raise ValueError("snr_db points must be finite")
+        # _snr_key rounds 1000 * float(s) to an integer, so that must be finite too
+        if not all(math.isfinite(float(s) * 1000.0) for s in self.snr_db):
+            raise ValueError("snr_db points must be finite, also in 0.001 dB units")
         # below this the pilot-summed ES energy, about noise_var * n_pilots,
         # comes within _ENERGY_HEADROOM of the float range
         floor = -10.0 * math.log10(sys.float_info.max / (self.n_pilots * _ENERGY_HEADROOM))
@@ -190,7 +189,7 @@ def _seed(master: int, *parts: int) -> np.random.SeedSequence:
 
 
 def _snr_key(snr_db: float) -> int:
-    return int(round(snr_db * 1000.0))
+    return int(round(float(snr_db) * 1000.0))
 
 
 def _noise_var(snr_db: float) -> float:
@@ -203,8 +202,8 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
     sweep's tx codebook and operator."""
     bs = ArrayGeometry(cfg.n_ant_bs)
     ue = ArrayGeometry(cfg.n_ant_ue)
-    tx_grid = build_grid(bs, cfg.tx_grid_mult)
-    rx_grid = build_grid(ue, cfg.rx_grid_mult)
+    tx_grid = build_grid(bs, _GRID_MULT)
+    rx_grid = build_grid(ue, _GRID_MULT)
     rx_dft = group_columns(dft_codebook(cfg.n_ant_ue, cfg.n_rx_beams, cfg.phase_bits),
                            cfg.n_rf_ue)
     assets = {"bs": bs, "ue": ue, "tx_grid": tx_grid, "rx_grid": rx_grid,
@@ -340,6 +339,11 @@ def _parse_snr_range(text: str) -> tuple:
         n = int((stop - start) // step) + 1
     except InvalidOperation:  # the exact quotient has more digits than the context
         raise ValueError("snr range has more than 10**28 points") from None
+    # each point's key (_snr_key) is an integer from start's key to stop's, and
+    # those lie within 2 of 1000 * start and 1000 * stop wherever floats are
+    # finer than 0.001 dB; so past this many points two must share a key
+    if n > (stop - start) * 1000 + 6:
+        raise ValueError("snr_db points must differ after rounding to 0.001 dB")
     return tuple(float(start + step * i) for i in range(n))
 
 
@@ -400,7 +404,7 @@ def main(argv=None) -> int:
         if args.snr is not None:
             overrides["snr_db"] = _parse_snr_range(args.snr)
         if args.methods is not None:
-            overrides["methods"] = tuple(m.strip() for m in args.methods.split(","))
+            overrides["methods"] = _coerce("methods", args.methods)
         if args.out is not None:
             overrides["out_dir"] = args.out
         if args.workers is not None:

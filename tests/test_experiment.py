@@ -54,11 +54,11 @@ def test_validate_rejects_bad_configs():
     for method in ("ES", "OMP-DFT"):
         with pytest.raises(ValueError, match="n_tx_entries ≤ n_ant_bs"):
             ExperimentConfig(n_tx_entries=128, methods=(method,)).validate()
-    with pytest.raises(ValueError, match="OMP-Random requires n_ant_ue \\* rx_grid_mult"):
+    with pytest.raises(ValueError, match="OMP-Random requires 3 \\* n_ant_ue"):
         ExperimentConfig(n_rx_entries=5, n_rf_ue=1).validate()
     ExperimentConfig(n_rx_entries=5, n_rf_ue=1, methods=("ES",)).validate()
-    for name in ("phase_bits", "n_pilots", "tx_grid_mult", "rx_grid_mult", "n_fft",
-                 "n_tx_entries", "n_rx_entries", "n_rf_ue", "n_ant_bs", "n_ant_ue"):
+    for name in ("phase_bits", "n_pilots", "n_fft", "n_tx_entries", "n_rx_entries", "n_rf_ue",
+                 "n_ant_bs", "n_ant_ue"):
         with pytest.raises(ValueError, match=name + " must be positive"):
             ExperimentConfig(**{name: 0}).validate()
     # sample_rate=0 silently made the channel frequency-flat
@@ -71,8 +71,8 @@ def test_validate_rejects_bad_configs():
     with pytest.raises(ValueError, match="n_pilots must not exceed n_fft"):
         ExperimentConfig(n_fft=4).validate()
     # the channel fields, each otherwise caught only in the first trial
-    for bad, message in ((dict(n_clusters=0, sparsity=6), "n_clusters must be positive"),
-                         (dict(n_rays=0, sparsity=6), "n_rays must be positive"),
+    for bad, message in ((dict(n_clusters=0), "n_clusters must be positive"),
+                         (dict(n_rays=0), "n_rays must be positive"),
                          (dict(delay_max=-1e-9), "delay_max must be non-negative"),
                          (dict(ray_angle_std=-0.01), "ray_angle_std must be non-negative")):
         with pytest.raises(ValueError, match=message):
@@ -86,6 +86,11 @@ def test_validate_rejects_bad_configs():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="snr_db points must be finite"):
             ExperimentConfig(snr_db=(0.0, value)).validate()
+    # 1000 * 1e306 overflowed in _snr_key as "cannot convert float infinity to integer",
+    # and so did 1000 * 1e36 in float32
+    with pytest.raises(ValueError, match="snr_db points must be finite, also in 0.001 dB units"):
+        ExperimentConfig(snr_db=(1e306,)).validate()
+    ExperimentConfig(snr_db=(np.float32(1e36),)).validate()
     # 10 ** (-snr / 10) overflowed only in the first trial, after the set-up,
     # as "(34, 'Numerical result out of range')"; -3080 dB passed and overflowed
     # the ES energy
@@ -95,11 +100,11 @@ def test_validate_rejects_bad_configs():
     ExperimentConfig(snr_db=(-3042.0, 4000.0)).validate()
     with pytest.raises(ValueError, match="designed_sweeps"):
         ExperimentConfig(designed_sweeps=-1, methods=("OMP-Designed",)).validate()
-    # the default grid has 64*3 x 8*3 = 4608 bins
-    for sparsity in (-1, 4609):
-        with pytest.raises(ValueError, match=r"sparsity must lie in \[1, 4608\]"):
-            ExperimentConfig(sparsity=sparsity).validate()
-    ExperimentConfig(sparsity=4608).validate()
+    # OMP picks n_clusters * n_rays of the default grid's 64*3 x 8*3 = 4608 bins
+    with pytest.raises(ValueError, match="n_clusters \\* n_rays must not exceed the grid's "
+                                         "4608 bins"):
+        ExperimentConfig(n_rays=2305).validate()
+    ExperimentConfig(n_rays=2304).validate()
     # these passed, and the run failed after set-up with "'float' object
     # cannot be interpreted as an integer"
     for name, value in (("n_trials", 2.5), ("n_clusters", 1.5), ("n_pilots", 10.0),
@@ -228,6 +233,12 @@ def test_parse_snr_range():
             _parse_snr_range(text)
     with pytest.raises(ValueError, match="more than 10\\*\\*28 points"):
         _parse_snr_range("0:1e-40:1")
+    # more points than 0.001 dB keys between start and stop: rejected before
+    # any is built (this one built all 10**6 points for validate() to reject)
+    for text in ("0:0.000001:1", "0:0.0001:0.01"):
+        with pytest.raises(ValueError, match="snr_db points must differ after rounding"):
+            _parse_snr_range(text)
+    assert len(_parse_snr_range("-1:0.001:1")) == 2001
 
 
 def test_parse_config_file(tmp_path):
@@ -254,6 +265,12 @@ def test_parse_config_file_rejects_unknown_key(tmp_path):
     p.write_text("snr=0:5:10\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_file(p)
+    # fields an older config file may still set
+    for key in ("sparsity = 6", "tx_grid_mult = 3", "rx_grid_mult = 3"):
+        p.write_text(key + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 1, key '%s': unknown config key$"
+                                             % key.split()[0]):
+            parse_config_file(p)
 
 
 def test_parse_config_file_names_the_line_and_key_of_a_bad_value(tmp_path):
