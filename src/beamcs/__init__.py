@@ -1,7 +1,6 @@
 """Compressed-sensing beam detection for swept initial-access pilots."""
 
-from .arrays import (ArrayGeometry, GridDictionary, beam_sin_values, build_grid,
-                     steering_vector)
+from .arrays import ArrayGeometry, beam_sin_values, build_grid, steering_vector
 from .channel import (ChannelParams, ChannelRealization, PathComponent,
                       factorized_channel, freq_channel, sample_channel)
 from .codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,

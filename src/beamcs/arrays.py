@@ -1,4 +1,5 @@
-"""Uniform linear arrays and sin-domain grid dictionaries."""
+"""Uniform linear arrays and their sin-domain angle grids: plain (n_ant,
+n_bins) matrices of unit-norm atoms, column i at beam_sin_values(n_bins)[i]."""
 
 from dataclasses import dataclass
 
@@ -31,26 +32,13 @@ def beam_sin_values(n_beams: int) -> np.ndarray:
     return np.where(b < n_beams / 2, 2.0 * b / n_beams, 2.0 * b / n_beams - 2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class GridDictionary:
-    """Array responses sampled on a uniform sin-domain grid, DFT bin order."""
-
-    geometry: ArrayGeometry
-    n_bins: int
-    sin_grid: np.ndarray
-    atoms: np.ndarray  # (n_ant, n_bins), unit-norm columns
-
-
-def build_grid(geometry: ArrayGeometry, multiplier: int) -> GridDictionary:
-    """Dictionary with n_ant * multiplier bins.
-
-    Bin i sits at beam_sin_values(G)[i], so multiplier 1 reproduces the
-    DFT codebook order exactly.
+def build_grid(geometry: ArrayGeometry, multiplier: int) -> np.ndarray:
+    """The C-ordered (n_ant, n_ant * multiplier) matrix of unit-norm array
+    responses whose column i sits at beam_sin_values(n_ant * multiplier)[i],
+    so multiplier 1 reproduces the DFT codebook order exactly.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be positive")
-    g = geometry.n_ant * multiplier
-    sin_grid = beam_sin_values(g)
+    sin_grid = beam_sin_values(geometry.n_ant * multiplier)
     n = np.arange(geometry.n_ant)[:, None]
-    atoms = np.exp(1j * np.pi * n * sin_grid[None, :]) / np.sqrt(geometry.n_ant)
-    return GridDictionary(geometry, g, sin_grid, atoms)
+    return np.exp(1j * np.pi * n * sin_grid[None, :]) / np.sqrt(geometry.n_ant)

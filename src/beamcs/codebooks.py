@@ -33,8 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arrays import GridDictionary
-
 KIND_DFT = "DFT"
 KIND_RANDOM = "Random"
 KIND_MULTI_BEAM = "MultiBeamDFT"
@@ -248,15 +246,15 @@ def _coherence_of_effective(eff: np.ndarray) -> float:
     return float(np.sum(np.abs(w) ** 2) - int(usable.sum()))
 
 
-def total_coherence(cb: Codebook, grid: GridDictionary) -> float:
+def total_coherence(cb: Codebook, grid: np.ndarray) -> float:
     """Sum of squared off-diagonal normalized column correlations of the
-    effective dictionary the codebook induces on the grid."""
-    if grid.geometry.n_ant != cb.n_ant:
+    effective dictionary the codebook induces on the grid atoms."""
+    if grid.shape[0] != cb.n_ant:
         raise ValueError("codebook and grid antenna counts differ")
-    return _coherence_of_effective(cb.columns.T @ grid.atoms.conj())
+    return _coherence_of_effective(cb.columns.T @ grid.conj())
 
 
-def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int,
+def designed_codebook(n_ant: int, grid: np.ndarray, n_entries: int,
                       phase_bits: int, rng: np.random.Generator,
                       sweeps: int = 200) -> Codebook:
     """Coherence-minimizing refinement of the multi-beam codebook.
@@ -269,7 +267,7 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int,
     entry rotations are pure per-entry phase shifts, which cannot change
     the coherence, so the DFT start is returned as-is.
     """
-    if grid.geometry.n_ant != n_ant:
+    if grid.shape[0] != n_ant:
         raise ValueError("codebook and grid antenna counts differ")
     start = multi_beam_dft_codebook(n_ant, n_entries, phase_bits)
     beams_per = n_ant // n_entries
@@ -280,7 +278,7 @@ def designed_codebook(n_ant: int, grid: GridDictionary, n_entries: int,
     rotations = np.zeros((n_entries, beams_per), dtype=np.int64)
     beam_angles = _beam_angles(n_ant, n_entries)
     table = _phasor_table(phase_bits, n_ant)
-    atoms_conj = grid.atoms.conj()
+    atoms_conj = grid.conj()
     # transmit-side effective dictionary: rows are slots, columns grid bins
     eff = start.columns.T @ atoms_conj
     best = _coherence_of_effective(eff)

@@ -28,6 +28,9 @@ from .arrays import beam_sin_values
 from .channel import ChannelRealization
 from .sweep import SensingOperator
 
+# columns of at most this fraction of the largest norm are empty but for rounding
+_EMPTY_COLUMN_TOL = 1e-9
+
 
 class BeamPair(NamedTuple):
     tx: int
@@ -46,6 +49,11 @@ class OmpResult:
     support: tuple
     coefficients: np.ndarray
     ridge_flagged: bool | tuple  # the flagged rows' indices when omp fits a stack
+
+
+def _selection_norms(norms: np.ndarray) -> np.ndarray:
+    # what scores are divided by: empty columns' rounding noise then scores 0
+    return np.where(norms > _EMPTY_COLUMN_TOL * norms.max(), norms, np.inf)
 
 
 def _circular_sin_distance(beam_sins: np.ndarray, sin_value: float) -> np.ndarray:
@@ -102,7 +110,8 @@ def omp(op: SensingOperator, y: np.ndarray, sparsity: int) -> OmpResult:
     (`SensingOperator.gram_factors`), the coefficients x of the support S
     solve G_SS x = c0[S], and the correlations are c0 - (T_S^T diag x) R_S.
     Selection maximizes |correlation| / ||column||, previously selected
-    columns excluded; bit-equal scores go to the lower index. If G_SS is
+    columns excluded and numerically empty ones (norm at most 1e-9 of the
+    largest) scored 0; bit-equal scores go to the lower index. If G_SS is
     numerically singular (rank below len(S) at numpy's default tolerance)
     the solve adds 1e-12 * (max column norm)^2 to its diagonal and the
     result is flagged. The residual y - A_S x is never formed.
@@ -114,7 +123,7 @@ def omp(op: SensingOperator, y: np.ndarray, sparsity: int) -> OmpResult:
     if sparsity < 1 or sparsity > op.shape[1]:
         raise ValueError("sparsity must lie in [1, n_columns]")
     norms = op.col_norms(1)
-    safe_norms = np.where(norms > 0.0, norms, np.inf)
+    safe_norms = _selection_norms(norms)
     ridge = 1e-12 * float(norms.max()) ** 2
 
     y = np.asarray(y, dtype=complex)
@@ -172,7 +181,7 @@ def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
         raise ValueError("sparsity must lie in [1, n_columns]")
     n_pilots = len(y)
     norms = op.col_norms(n_pilots)
-    safe_norms = np.where(norms > 0.0, norms, np.inf)
+    safe_norms = _selection_norms(norms)
     ridge = 1e-12 * float(norms.max()) ** 2
 
     y = np.asarray(y, dtype=complex).reshape(-1)
@@ -245,9 +254,8 @@ def _rank_pairs(op: SensingOperator, y: np.ndarray, fit: OmpResult, n_tx_beams: 
                 n_rx_beams: int, n_pairs: int) -> DetectionOutcome:
     def bins():
         yield from np.take(fit.support, np.argsort(-np.abs(fit.coefficients), kind="stable"))
-        norms = op.col_norms(len(y))
         residual = (y - op.columns(fit.support) @ fit.coefficients).sum(axis=0)
-        scores = np.abs(op.adjoint_apply(residual)) / np.where(norms > 0, norms, np.inf)
+        scores = np.abs(op.adjoint_apply(residual)) / _selection_norms(op.col_norms(len(y)))
         yield from np.argsort(-scores, kind="stable")
 
     est: list[BeamPair] = []

@@ -158,6 +158,10 @@ class ExperimentConfig:
         if omp_methods and (_GRID_MULT * self.n_ant_ue) % self.n_rx_beams:
             raise ValueError("%s requires %d * n_ant_ue to be a multiple of "
                              "n_rx_entries * n_rf_ue" % (omp_methods[0], _GRID_MULT))
+        dft_rx = [m for m in self.methods if _SWEEP_KIND[m] != KIND_RANDOM]
+        if dft_rx and self.n_rx_beams != self.n_ant_ue:  # else DFT beams miss the scored ones
+            raise ValueError("%s combines with DFT beams, which requires n_rx_entries * n_rf_ue "
+                             "= n_ant_ue" % dft_rx[0])
         if self.designed_sweeps < 0:
             raise ValueError("designed_sweeps must be non-negative")
         n_bins = _GRID_MULT ** 2 * self.n_ant_bs * self.n_ant_ue

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import GridDictionary
 from .channel import ChannelRealization, freq_channel
 from .codebooks import Codebook
 
@@ -194,14 +193,12 @@ def parallel_columns(factor: np.ndarray) -> np.ndarray:
     return mask
 
 
-def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: GridDictionary,
-                           rx_grid: GridDictionary) -> SensingOperator:
-    if tx_grid.geometry.n_ant != tx_cb.n_ant or rx_grid.geometry.n_ant != rx_cb.n_ant:
+def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: np.ndarray,
+                           rx_grid: np.ndarray) -> SensingOperator:
+    if tx_grid.shape[0] != tx_cb.n_ant or rx_grid.shape[0] != rx_cb.n_ant:
         raise ValueError("grid and codebook antenna counts differ")
-    w = rx_cb.columns
-    x = transmit_vectors(tx_cb)
-    tx_factor = x.T @ tx_grid.atoms.conj()
-    rx_factor = w.conj().T @ rx_grid.atoms
+    tx_factor = transmit_vectors(tx_cb).T @ tx_grid.conj()
+    rx_factor = rx_cb.columns.conj().T @ rx_grid
     # A factor C^H A with at least as many slots as antennas is skipped: no
     # two grid atoms are parallel (their sin values differ), and C^H keeps
     # them apart wherever it is injective, which holds for the DFT and

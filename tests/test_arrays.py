@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from beamcs.arrays import ArrayGeometry, build_grid, steering_vector
+from beamcs.arrays import ArrayGeometry, beam_sin_values, build_grid, steering_vector
 
 
 def test_steering_broadside_is_constant():
@@ -44,39 +44,40 @@ def test_geometry_validation():
 def test_grid_sin_values_dft_order():
     grid = build_grid(ArrayGeometry(4), 2)
     want = [0.0, 0.25, 0.5, 0.75, -1.0, -0.75, -0.5, -0.25]
-    assert_allclose(grid.sin_grid, want, rtol=0, atol=0)
-    assert grid.n_bins == 8
+    assert_allclose(beam_sin_values(grid.shape[1]), want, rtol=0, atol=0)
+    assert grid.shape == (4, 8)
+    assert grid.dtype == complex and grid.flags.c_contiguous
 
 
 def test_grid_first_column_is_broadside():
     grid = build_grid(ArrayGeometry(8), 3)
-    assert_allclose(grid.atoms[:, 0], steering_vector(ArrayGeometry(8), 0.0), atol=1e-15)
+    assert_allclose(grid[:, 0], steering_vector(ArrayGeometry(8), 0.0), atol=1e-15)
 
 
 def test_grid_columns_match_steering_vectors():
     geom = ArrayGeometry(8)
     grid = build_grid(geom, 4)
-    for i in range(grid.n_bins):
-        angle = np.arcsin(grid.sin_grid[i])
-        assert_allclose(grid.atoms[:, i], steering_vector(geom, angle), atol=1e-12)
+    for i, sin in enumerate(beam_sin_values(grid.shape[1])):
+        assert_allclose(grid[:, i], steering_vector(geom, np.arcsin(sin)), atol=1e-12)
 
 
 def test_grid_columns_unit_norm():
     grid = build_grid(ArrayGeometry(32), 3)
-    assert_allclose(np.linalg.norm(grid.atoms, axis=0), np.ones(grid.n_bins), atol=1e-12)
+    assert_allclose(np.linalg.norm(grid, axis=0), np.ones(grid.shape[1]), atol=1e-12)
 
 
 def test_grid_multiplier_one_is_unitary():
     grid = build_grid(ArrayGeometry(16), 1)
-    gram = grid.atoms.conj().T @ grid.atoms
+    gram = grid.conj().T @ grid
     assert np.max(np.abs(gram - np.eye(16))) < 1e-10
 
 
 def test_grid_range_covers_full_sin_interval():
-    grid = build_grid(ArrayGeometry(64), 3)
-    assert grid.sin_grid.min() == -1.0
-    assert grid.sin_grid.max() < 1.0
-    assert np.all(np.abs(np.diff(np.sort(grid.sin_grid)) - 2.0 / grid.n_bins) < 1e-12)
+    n_bins = build_grid(ArrayGeometry(64), 3).shape[1]
+    sin_grid = beam_sin_values(n_bins)
+    assert sin_grid.min() == -1.0
+    assert sin_grid.max() < 1.0
+    assert np.all(np.abs(np.diff(np.sort(sin_grid)) - 2.0 / n_bins) < 1e-12)
 
 
 def test_grid_rejects_bad_multiplier():

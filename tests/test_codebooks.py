@@ -125,7 +125,7 @@ def test_every_builder_caps_phase_bits_at_16():
 def test_dft_six_bits_is_exact_for_64_antennas():
     # 64-point DFT phases live on the 6-bit grid, so quantization is lossless
     q = dft_codebook(64, 64, 6)
-    atoms = build_grid(ArrayGeometry(64), 1).atoms  # the exact DFT beams, same order
+    atoms = build_grid(ArrayGeometry(64), 1)  # the exact DFT beams, same order
     n, m = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
     assert np.array_equal(q.phase_indices[:, :, 0], (n * m % 64).T)
     assert np.max(np.abs(q.entries[:, :, 0].T - atoms)) < 1e-14
@@ -194,7 +194,7 @@ def test_total_coherence_matches_dense_gram():
     cb = random_codebook(16, 12, 1, 6, rng)
     grid = build_grid(ArrayGeometry(16), 3)
     x = np.concatenate([cb.entries[m] for m in range(cb.n_entries)], axis=1)
-    eff = x.T @ grid.atoms.conj()
+    eff = x.T @ grid.conj()
     cols = eff / np.linalg.norm(eff, axis=0)
     gram = cols.conj().T @ cols
     want = float(np.sum(np.abs(gram) ** 2) - np.sum(np.abs(np.diag(gram)) ** 2))

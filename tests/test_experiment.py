@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import beamcs.detect
 import beamcs.experiment
 from beamcs import codebooks
 from beamcs.experiment import (METHODS, ExperimentConfig, _build_assets, _parse_snr_range,
@@ -56,7 +57,8 @@ def test_validate_rejects_bad_configs():
             ExperimentConfig(n_tx_entries=128, methods=(method,)).validate()
     with pytest.raises(ValueError, match="OMP-Random requires 3 \\* n_ant_ue"):
         ExperimentConfig(n_rx_entries=5, n_rf_ue=1).validate()
-    ExperimentConfig(n_rx_entries=5, n_rf_ue=1, methods=("ES",)).validate()
+    with pytest.raises(ValueError, match="ES combines with DFT beams"):
+        ExperimentConfig(n_rx_entries=5, n_rf_ue=1, methods=("ES",)).validate()
     for name in ("phase_bits", "n_pilots", "n_fft", "n_tx_entries", "n_rx_entries", "n_rf_ue",
                  "n_ant_bs", "n_ant_ue"):
         with pytest.raises(ValueError, match=name + " must be positive"):
@@ -202,6 +204,43 @@ def test_only_the_multi_beam_workload_operator_is_aliased():
                                            snr_db=(20.0,), designed_sweeps=20))
     assert scale["sweeps"][codebooks.KIND_MULTI_BEAM][1].aliased
     assert not scale["sweeps"][codebooks.KIND_DESIGNED][1].aliased
+
+
+def test_validate_rejects_a_dft_combiner_off_the_receive_beam_grid():
+    # the DFT combiner points column c at sin 2c/n_ant_ue, the scoring puts
+    # rx beam c at 2c/(n_rx_entries * n_rf_ue); with 4 columns on 8 antennas
+    # ES reached p_all 0.01 at 30 dB
+    for method in ("ES", "OMP-DFT", "OMP-MultiBeam", "OMP-Designed"):
+        for fields in (dict(n_rx_entries=1), dict(n_rf_ue=2)):
+            with pytest.raises(ValueError, match="^%s combines with DFT beams, which requires "
+                               "n_rx_entries \\* n_rf_ue = n_ant_ue$" % method):
+                ExperimentConfig(methods=(method,), **fields).validate()
+    # a random combiner has no beam directions to misplace
+    ExperimentConfig(n_rx_entries=1, methods=("OMP-Random",)).validate()
+    with pytest.raises(ValueError, match="OMP-DFT combines with DFT beams"):
+        ExperimentConfig(n_rx_entries=1, methods=("OMP-Random", "OMP-DFT")).validate()
+
+
+def test_omp_never_picks_a_numerically_empty_column(monkeypatch):
+    # 32 DFT beams on 64 antennas leave grid atoms orthogonal to every sweep
+    # vector; their operator columns are rounding noise, about 1e-16 of the
+    # largest, and scoring that noise over its own norm made OMP pick them
+    cfg = ExperimentConfig(n_tx_entries=32, methods=("OMP-DFT",), snr_db=(0.0, 30.0),
+                           n_trials=4)
+    cfg.validate()
+    picked = []
+
+    def spy(op, ys, *args):
+        outcomes = beamcs.detect.cs_detect(op, ys, *args)
+        norms = op.col_norms(1)
+        assert (norms <= 1e-9 * norms.max()).any()
+        picked.extend(norms[list(out.support)] / norms.max() for out in outcomes)
+        return outcomes
+
+    monkeypatch.setattr(beamcs.experiment, "cs_detect", spy)
+    run_experiment(cfg)
+    assert len(picked) == 2 * cfg.n_trials
+    assert min(map(min, picked)) > 1e-9
 
 
 def test_exhaustive_search_rejected_beyond_codebook_size():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from beamcs.arrays import ArrayGeometry, build_grid, steering_vector
+from beamcs.arrays import ArrayGeometry, beam_sin_values, build_grid, steering_vector
 from beamcs.channel import (ChannelRealization, PathComponent, sample_channel, ChannelParams,
                             freq_channel)
 from beamcs.codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
@@ -257,7 +257,7 @@ def test_operator_reduces_to_grid_kronecker_for_identity_beams():
     tx_grid = build_grid(ArrayGeometry(n_tx), 2)
     rx_grid = build_grid(ArrayGeometry(n_rx), 2)
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid)
-    want = np.kron(tx_grid.atoms.conj(), rx_grid.atoms)
+    want = np.kron(tx_grid.conj(), rx_grid)
     assert np.max(np.abs(to_dense(op) - want)) < 1e-12
 
 
@@ -306,8 +306,8 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     # zero-delay paths exactly on grid bins make h flat across pilots
     bins = [(3, 5), (20, 11)]
     gains = [1.0 + 0.5j, -0.7 + 0.2j]
-    paths = [PathComponent(g, 0.0, np.arcsin(tx_grid.sin_grid[bt]),
-                           np.arcsin(rx_grid.sin_grid[br]), i, 0)
+    tx_sins, rx_sins = beam_sin_values(tx_grid.shape[1]), beam_sin_values(rx_grid.shape[1])
+    paths = [PathComponent(g, 0.0, np.arcsin(tx_sins[bt]), np.arcsin(rx_sins[br]), i, 0)
              for i, (g, (bt, br)) in enumerate(zip(gains, bins))]
     ch = ChannelRealization(paths, gain_scale=np.sqrt(16 * 8 / 2), tx_geometry=bs,
                             rx_geometry=ue)
