@@ -154,14 +154,14 @@ class ExperimentConfig:
         if "ES" in self.methods and self.n_tx_entries < self.n_tx_beams:
             raise ValueError("exhaustive search requires one sweep entry per transmit beam: "
                              "n_tx_entries ≥ n_ant_bs")
-        omp_methods = [m for m in self.methods if m != "ES"]
-        if omp_methods and (_GRID_MULT * self.n_ant_ue) % self.n_rx_beams:
-            raise ValueError("%s requires %d * n_ant_ue to be a multiple of "
-                             "n_rx_entries * n_rf_ue" % (omp_methods[0], _GRID_MULT))
         dft_rx = [m for m in self.methods if _SWEEP_KIND[m] != KIND_RANDOM]
         if dft_rx and self.n_rx_beams != self.n_ant_ue:  # else DFT beams miss the scored ones
             raise ValueError("%s combines with DFT beams, which requires n_rx_entries * n_rf_ue "
                              "= n_ant_ue" % dft_rx[0])
+        # after the rule above, only a random combiner can have n_rx_beams != n_ant_ue
+        if "OMP-Random" in self.methods and (_GRID_MULT * self.n_ant_ue) % self.n_rx_beams:
+            raise ValueError("OMP-Random requires %d * n_ant_ue to be a multiple of "
+                             "n_rx_entries * n_rf_ue" % _GRID_MULT)
         if self.designed_sweeps < 0:
             raise ValueError("designed_sweeps must be non-negative")
         n_bins = _GRID_MULT ** 2 * self.n_ant_bs * self.n_ant_ue
@@ -208,13 +208,13 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
     ue = ArrayGeometry(cfg.n_ant_ue)
     tx_grid = build_grid(bs, _GRID_MULT)
     rx_grid = build_grid(ue, _GRID_MULT)
-    rx_dft = group_columns(dft_codebook(cfg.n_ant_ue, cfg.n_rx_beams, cfg.phase_bits),
-                           cfg.n_rf_ue)
-    assets = {"bs": bs, "ue": ue, "tx_grid": tx_grid, "rx_grid": rx_grid,
-              "rx_dft": rx_dft, "sweeps": {}}
-    for kind in dict.fromkeys(map(_SWEEP_KIND.get, cfg.methods)):
-        if kind == KIND_RANDOM:  # drawn per trial
-            continue
+    assets = {"bs": bs, "ue": ue, "tx_grid": tx_grid, "rx_grid": rx_grid, "sweeps": {}}
+    # random sweeps draw both codebooks per trial; every other sweep combines with DFT beams
+    static = [k for k in dict.fromkeys(map(_SWEEP_KIND.get, cfg.methods)) if k != KIND_RANDOM]
+    if static:
+        rx_dft = assets["rx_dft"] = group_columns(
+            dft_codebook(cfg.n_ant_ue, cfg.n_rx_beams, cfg.phase_bits), cfg.n_rf_ue)
+    for kind in static:
         if kind == KIND_DFT:
             tx_cb = dft_codebook(cfg.n_ant_bs, cfg.n_tx_entries, cfg.phase_bits)
         elif kind == KIND_MULTI_BEAM:
@@ -387,32 +387,30 @@ def parse_config_file(path) -> dict:
     return overrides
 
 
+# each flag is a shorthand for one config key, whose value it takes as a config file does
+_FLAGS = {"--seed": ("master_seed", "master seed"),
+          "--trials": ("n_trials", "Monte Carlo trials"),
+          "--snr": ("snr_db", "SNR grid in dB, as start:step:stop or a comma-separated list"),
+          "--methods": ("methods", "comma-separated method names"),
+          "--out": ("out_dir", "output directory for the CSV files"),
+          "--workers": ("workers", "parallel worker processes")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="beamcs",
+        prog="beamcs", argument_default=argparse.SUPPRESS,  # so only given flags are read
         description="Monte Carlo beam-pair detection probability experiment")
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials")
-    parser.add_argument("--snr", help="SNR grid in dB as start:step:stop")
-    parser.add_argument("--methods", help="comma-separated method names")
-    parser.add_argument("--out", help="output directory for the CSV files")
-    parser.add_argument("--workers", type=int, help="parallel worker processes")
-    args = parser.parse_args(argv)
+    for flag, (key, text) in _FLAGS.items():
+        parser.add_argument(flag, dest=key, help=text)
+    flags = vars(parser.parse_args(argv))
     try:
-        overrides = parse_config_file(args.config) if args.config else {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.trials is not None:
-            overrides["n_trials"] = args.trials
-        if args.snr is not None:
-            overrides["snr_db"] = _parse_snr_range(args.snr)
-        if args.methods is not None:
-            overrides["methods"] = _coerce("methods", args.methods)
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.workers is not None:
-            overrides["workers"] = args.workers
+        overrides = parse_config_file(flags.pop("config")) if "config" in flags else {}
+        for key, value in flags.items():
+            try:
+                overrides[key] = _coerce(key, value)
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (key, exc)) from None
         cfg = ExperimentConfig(**overrides)
         records, stats = run_experiment(cfg)
         summary, errors = emit_csv(records, stats, cfg.out_dir)

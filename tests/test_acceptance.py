@@ -402,3 +402,23 @@ def test_criterion_9_detection_probability_matches_theory():
                       "(z = %+.2f)" % (name, delay * 1e9, snr, hits / n_draws, p,
                                        (hits / n_draws - p) / se))
                 assert abs(hits / n_draws - p) <= 3.0 * se
+
+
+def test_criterion_10_cs_needs_a_quarter_of_the_es_sweep(default_run):
+    # The paper's motivation: initial access has little sweep time, and CS
+    # detects from fewer transmit slots than ES needs. Channels are seeded by
+    # trial alone, so this run sees the default run's channels. OMP-Random with
+    # a quarter of the slots must reach ES's full-sweep p_all within two
+    # standard errors of the difference at every SNR point from 10 dB up.
+    cfg, _, es = default_run
+    snrs = tuple(s for s in cfg.snr_db if s >= 10.0)
+    short = replace(cfg, n_tx_entries=cfg.n_ant_bs // 4, methods=("OMP-Random",), snr_db=snrs)
+    _, cs = run_experiment(short)
+    for snr in snrs:
+        a, b = cs[(snr, "OMP-Random")], es[(snr, "ES")]
+        bound = 2.0 * math.hypot(a.p_all_se, b.p_all_se)
+        print("criterion 10: %+.0f dB p_all OMP-Random %d slots %.3f, ES %d slots %.3f "
+              "(difference %+.3f, two SE %.3f)" % (snr, short.n_tx_entries, a.p_all,
+                                                   cfg.n_tx_entries, b.p_all,
+                                                   a.p_all - b.p_all, bound))
+        assert a.p_all >= b.p_all - bound

@@ -55,10 +55,14 @@ def test_validate_rejects_bad_configs():
     for method in ("ES", "OMP-DFT"):
         with pytest.raises(ValueError, match="n_tx_entries ≤ n_ant_bs"):
             ExperimentConfig(n_tx_entries=128, methods=(method,)).validate()
+    # 5 receive beams do not divide the 3 * 8 receive bins, but a DFT combiner
+    # breaks the combiner rule first, so only OMP-Random meets the grid rule
     with pytest.raises(ValueError, match="OMP-Random requires 3 \\* n_ant_ue"):
-        ExperimentConfig(n_rx_entries=5, n_rf_ue=1).validate()
-    with pytest.raises(ValueError, match="ES combines with DFT beams"):
-        ExperimentConfig(n_rx_entries=5, n_rf_ue=1, methods=("ES",)).validate()
+        ExperimentConfig(n_rx_entries=5, n_rf_ue=1, methods=("OMP-Random",)).validate()
+    for fields, method in ((dict(n_rx_entries=5, n_rf_ue=1), "ES"),
+                           (dict(n_rx_entries=1, n_rf_ue=5, methods=("OMP-DFT",)), "OMP-DFT")):
+        with pytest.raises(ValueError, match="^%s combines with DFT beams" % method):
+            ExperimentConfig(**fields).validate()
     for name in ("phase_bits", "n_pilots", "n_fft", "n_tx_entries", "n_rx_entries", "n_rf_ue",
                  "n_ant_bs", "n_ant_ue"):
         with pytest.raises(ValueError, match=name + " must be positive"):
@@ -185,6 +189,17 @@ def test_golden_bytes(tmp_path):
         records, stats = run_experiment(ExperimentConfig(**fields))
         paths = emit_csv(records, stats, tmp_path / name)
         assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests, name
+
+
+def test_assets_build_the_dft_combiner_only_for_the_sweeps_that_read_it():
+    # OMP-Random draws its combiners per trial, so its runs never read rx_dft
+    with mock.patch.object(beamcs.experiment, "dft_codebook",
+                           wraps=codebooks.dft_codebook) as built:
+        assets = _build_assets(ExperimentConfig(methods=("OMP-Random",), n_rx_entries=1))
+        assert built.call_count == 0 and "rx_dft" not in assets
+        assets = _build_assets(ExperimentConfig(methods=("OMP-Random", "OMP-DFT")))
+        assert built.call_count == 2  # the tx codebook and the combiner
+    assert assets["rx_dft"].entries.shape == (2, 8, 4)  # entries, antennas, RF chains
 
 
 def test_only_the_multi_beam_workload_operator_is_aliased():
@@ -527,11 +542,43 @@ def test_main_cli_rejects_es_with_large_array(tmp_path, capsys):
 
 
 def test_main_cli_rejects_bad_snr(tmp_path, capsys):
-    code = main(["--snr", "10", "--trials", "1", "--out", str(tmp_path / "r")])
+    code = main(["--snr=10:5", "--trials", "1", "--out", str(tmp_path / "r")])
     assert code == 1
-    assert "start:step:stop" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: snr_db: snr range must be start:step:stop\n"
     code = main(["--snr=-4000:1:-4000", "--trials", "1", "--out", str(tmp_path / "r")])
     assert code == 1
     assert capsys.readouterr().err == (
         "error: snr_db point -4000.0 is below -3042.547 dB, where the noise energy of "
         "n_pilots=10 pilots nears the float range\n")
+
+
+def test_main_cli_reads_snr_as_the_config_key_does(tmp_path):
+    # --snr takes both forms of snr_db, the comma list as well as start:step:stop
+    tiny = _write_tiny_cfg(tmp_path)
+    listed = tmp_path / "listed.cfg"
+    listed.write_text(tiny.read_text(encoding="utf-8") + "snr_db = -10, 0, 10\n",
+                      encoding="utf-8")
+    runs = {"flag": ["--config", str(tiny), "--snr=-10,0,10"],
+            "range": ["--config", str(tiny), "--snr=-10:10:10"],
+            "file": ["--config", str(listed)]}
+    for name, argv in runs.items():
+        assert main(argv + ["--trials", "2", "--out", str(tmp_path / name)]) == 0
+    for csv in ("summary.csv", "errors.csv"):
+        want = (tmp_path / "file" / csv).read_bytes()
+        assert want.count(b"\n-10.0,") and want.count(b"\n10.0,")
+        assert (tmp_path / "flag" / csv).read_bytes() == want
+        assert (tmp_path / "range" / csv).read_bytes() == want
+
+
+def test_main_cli_names_the_key_of_a_bad_flag_value(tmp_path, capsys):
+    # argparse's int conversion printed its usage and exited 2
+    for argv, line in ((["--trials", "abc"], "n_trials: invalid literal for int() with base "
+                                             "10: 'abc'"),
+                       (["--workers", "2.5"], "workers: invalid literal for int() with base "
+                                              "10: '2.5'"),
+                       (["--seed", "x"], "master_seed: invalid literal for int() with base "
+                                         "10: 'x'"),
+                       (["--snr=0,x"], "snr_db: could not convert string to float: 'x'")):
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % line
+    assert not (tmp_path / "r").exists()
