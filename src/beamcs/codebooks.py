@@ -98,12 +98,20 @@ def _phasor_table(phase_bits: int, n_ant: int) -> np.ndarray:
     return table
 
 
+def _nearest_index(t, n: int):
+    """ceil(t - 1/2) mod n: the nearest of the points 0..n-1 of a circle of
+    circumference n, halfway to the lower one. The one nearest-point rule,
+    for phases, path directions and OMP bins; a Python int for a scalar t."""
+    if isinstance(t, np.ndarray):
+        return np.ceil(t - 0.5).astype(np.int64) % n
+    return math.ceil(t - 0.5) % n
+
+
 def _quantize_indices(angles: np.ndarray, phase_bits: int) -> np.ndarray:
     """Nearest quantizer index per angle, ties toward the lower neighbor."""
     levels = 1 << phase_bits
-    t = (np.asarray(angles) % (2.0 * np.pi)) * (levels / (2.0 * np.pi))
-    idx = np.ceil(t - 0.5).astype(np.int64) % levels
-    return idx
+    return _nearest_index((np.asarray(angles) % (2.0 * np.pi)) * (levels / (2.0 * np.pi)),
+                          levels)
 
 
 @dataclass(frozen=True, eq=False)

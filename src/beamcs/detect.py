@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import beam_sin_values
 from .channel import ChannelRealization
+from .codebooks import _nearest_index
 from .sweep import SensingOperator
 
 # columns of at most this fraction of the largest norm are empty but for rounding
@@ -56,28 +56,17 @@ def _selection_norms(norms: np.ndarray) -> np.ndarray:
     return np.where(norms > _EMPTY_COLUMN_TOL * norms.max(), norms, np.inf)
 
 
-def _circular_sin_distance(beam_sins: np.ndarray, sin_value: float) -> np.ndarray:
-    # half-wavelength steering vectors alias with period 2 in sin, so the
-    # sin axis is a circle of circumference 2: sin +0.99 sits next to the
-    # endfire beam at sin -1, not 1.99 away from it
-    d = np.abs(beam_sins - sin_value)
-    return np.minimum(d, 2.0 - d)
-
-
 def true_pairs(ch: ChannelRealization, n_tx_beams: int, n_rx_beams: int) -> frozenset:
     """Nearest DFT beam pair per path, deduplicated.
 
-    Nearest means smallest circular sin-domain distance, ties to the
-    lower beam index.
+    Beam b of n sits at sin 2b/n on the sin circle, of circumference 2
+    because half-wavelength steering vectors alias with period 2, so a path
+    goes to `_nearest_index(sin * n / 2, n)`: halfway between two beams, to
+    the one at sin - 1/n (so sin -1/n goes to beam n - 1).
     """
-    tx_sins = beam_sin_values(n_tx_beams)
-    rx_sins = beam_sin_values(n_rx_beams)
-    pairs = set()
-    for p in ch.paths:
-        tx = int(np.argmin(_circular_sin_distance(tx_sins, math.sin(p.aod))))
-        rx = int(np.argmin(_circular_sin_distance(rx_sins, math.sin(p.aoa))))
-        pairs.add(BeamPair(tx, rx))
-    return frozenset(pairs)
+    return frozenset(BeamPair(_nearest_index(math.sin(p.aod) * n_tx_beams / 2, n_tx_beams),
+                              _nearest_index(math.sin(p.aoa) * n_rx_beams / 2, n_rx_beams))
+                     for p in ch.paths)
 
 
 def exhaustive_search(y: np.ndarray, n_pairs: int) -> DetectionOutcome:
@@ -154,8 +143,7 @@ def omp(op: SensingOperator, y: np.ndarray, sparsity: int) -> OmpResult:
         # A^H a_(S_j) at S_a
         j = np.arange(i + 1)
         g_ss = t[rows, j, st] * r[rows, j, sr]
-        eig = np.abs(np.linalg.eigvalsh(g_ss))
-        low = eig.min(axis=1) <= eig.max(axis=1) * (i + 1) * np.finfo(float).eps
+        low = np.linalg.matrix_rank(g_ss, hermitian=True) < i + 1
         if low.any():
             g_ss[low] += ridge * np.eye(i + 1)
             flagged |= low
@@ -207,11 +195,6 @@ def _stacked_omp(op, y: np.ndarray, sparsity: int) -> OmpResult:
     return OmpResult(tuple(support), coef, flagged)
 
 
-def _bin_to_beam(g_bin: int, n_bins: int, n_beams: int) -> int:
-    # nearest beam in sin-domain index arithmetic; bins per beam = n_bins/n_beams
-    return int(math.floor(g_bin * n_beams / n_bins + 0.5)) % n_beams
-
-
 def cs_detect(op: SensingOperator, ys, sparsity: int, n_tx_beams: int,
               n_rx_beams: int, n_pairs: int) -> list:
     """Sparse-recovery detector; one `DetectionOutcome` per measurement of
@@ -228,9 +211,11 @@ def cs_detect(op: SensingOperator, ys, sparsity: int, n_tx_beams: int,
     rounding picks the winner and the recorded picks follow that loop's
     rounding; each measurement is fitted and ranked before the next is read.
 
-    Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bins
-    round to beams, and the first n_pairs distinct pairs by coefficient
-    magnitude are returned. If deduplication leaves fewer, only then is the
+    Each support bin g splits into (g // n_rx_bins, g % n_rx_bins), bin b
+    of n_bins goes to beam `_nearest_index(b * n_beams / n_bins, n_beams)`
+    (a halfway bin, which only an even grid multiplier has, to the lower
+    beam), and the first n_pairs distinct pairs by coefficient magnitude
+    are returned. If deduplication leaves fewer, only then is the
     fit's residual formed and summed over the pilots it was fitted on (one
     for the pilot mean), and pairs are appended from its largest normalized
     correlations.
@@ -261,8 +246,8 @@ def _rank_pairs(op: SensingOperator, y: np.ndarray, fit: OmpResult, n_tx_beams: 
     est: list[BeamPair] = []
     for g in bins():
         gt, gr = divmod(int(g), op.n_rx_bins)
-        pair = BeamPair(_bin_to_beam(gt, op.n_tx_bins, n_tx_beams),
-                        _bin_to_beam(gr, op.n_rx_bins, n_rx_beams))
+        pair = BeamPair(_nearest_index(gt * n_tx_beams / op.n_tx_bins, n_tx_beams),
+                        _nearest_index(gr * n_rx_beams / op.n_rx_bins, n_rx_beams))
         if pair not in est:
             est.append(pair)
             if len(est) == n_pairs:

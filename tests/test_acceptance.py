@@ -13,12 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamcs.arrays import ArrayGeometry, build_grid
+from beamcs.arrays import ArrayGeometry, beam_sin_values, build_grid
 from beamcs.channel import ChannelParams, ChannelRealization, PathComponent, sample_channel
 from beamcs.codebooks import (designed_codebook, dft_codebook, group_columns,
                               multi_beam_dft_codebook, total_coherence)
-from beamcs.detect import (BeamPair, beam_sin_values, cs_detect, exhaustive_search, omp,
-                           true_pairs)
+from beamcs.detect import BeamPair, cs_detect, exhaustive_search, omp, true_pairs
 from beamcs import experiment
 from beamcs.experiment import (ExperimentConfig, _TAG_CHANNEL, _TAG_DESIGN, _seed,
                                emit_csv, run_experiment)

@@ -7,12 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from beamcs import detect
-from beamcs.arrays import ArrayGeometry, build_grid
+from beamcs.arrays import ArrayGeometry, beam_sin_values, build_grid
 from beamcs.channel import ChannelParams, ChannelRealization, PathComponent, sample_channel
-from beamcs.codebooks import (designed_codebook, dft_codebook, group_columns,
-                              multi_beam_dft_codebook, random_codebook)
-from beamcs.detect import (BeamPair, beam_index_errors, beam_sin_values, cs_detect,
-                           exhaustive_search, omp, signed_circular_diff, true_pairs)
+from beamcs.codebooks import (_nearest_index, designed_codebook, dft_codebook,
+                              group_columns, multi_beam_dft_codebook, random_codebook)
+from beamcs.detect import (BeamPair, beam_index_errors, cs_detect, exhaustive_search, omp,
+                           signed_circular_diff, true_pairs)
 from beamcs.metrics import single_beam_match
 from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
 from oracles import DenseOperator, residual, stacked_omp, to_dense
@@ -70,6 +70,36 @@ def test_true_pairs_wraps_at_sin_seam():
     mid = PathComponent(1.0 + 0.0j, 0.0, math.asin(63.0 / 64.0), math.asin(7.0 / 8.0), 0, 0)
     ch = make_channel([mid])
     assert true_pairs(ch, 64, 8) == {BeamPair(31, 3)}
+
+
+@pytest.mark.parametrize("n, at_plus_one, at_last, at_minus_step", [
+    (1, 0, 0, 0), (5, 2, 2, 4), (8, 4, 3, 7), (64, 32, 31, 63), (255, 127, 127, 254)])
+def test_true_pairs_seams(n, at_plus_one, at_last, at_minus_step):
+    # sin +-1 is one point of the sin circle: beam n/2 for even n, else
+    # halfway between two beams; (n-1)/n and -1/n are halfway points for
+    # even n, and a halfway path goes to the beam at sin - 1/n
+    for sin, want in ((1.0, at_plus_one), (-1.0, at_plus_one),
+                      ((n - 1) / n, at_last), (-1 / n, at_minus_step)):
+        angle = math.asin(sin)
+        assert math.sin(angle) == sin
+        ch = make_channel([PathComponent(1.0 + 0.0j, 0.0, angle, angle, 0, 0)])
+        assert true_pairs(ch, n, n) == {BeamPair(want, want)}
+
+
+def test_halfway_bin_goes_to_the_lower_beam():
+    # at grid multiplier 2 every odd bin is halfway between two beams; a
+    # path on such a bin is fitted there, and bin and path both go to the
+    # lower beam
+    tx, rx, cfg, op = cs_setup(2)
+    for tx_bin, want in ((41, 20), (127, 63)):
+        path = PathComponent(1.0 + 0.0j, 0.0, math.asin(beam_sin_values(128)[tx_bin]),
+                             math.asin(beam_sin_values(8)[2]), 0, 0)
+        ch = make_channel([path])
+        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+        out = cs_detect(op, [y], sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)[0]
+        assert out.support == (tx_bin * op.n_rx_bins + 4,)
+        assert out.estimated == (BeamPair(want, 2),)
+        assert true_pairs(ch, 64, 8) == {BeamPair(want, 2)}
 
 
 def default_sweep():
@@ -304,8 +334,8 @@ def test_cs_detect_fills_from_the_residual_when_support_pairs_coincide():
     # pairs, so the rest come from y - A_S x; the expected pairs were
     # recorded when omp still returned that residual itself
     def support_pairs(op, out, n_tx_beams):
-        return {(detect._bin_to_beam(g // op.n_rx_bins, op.n_tx_bins, n_tx_beams),
-                 detect._bin_to_beam(g % op.n_rx_bins, op.n_rx_bins, 8)) for g in out.support}
+        return {(_nearest_index(g // op.n_rx_bins * n_tx_beams / op.n_tx_bins, n_tx_beams),
+                 _nearest_index(g % op.n_rx_bins * 8 / op.n_rx_bins, 8)) for g in out.support}
 
     tx, rx, cfg, op = cs_setup(3)
     # a quarter beam off beam 20: both picks round to (20, 4)

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from beamcs import codebooks
 from beamcs.arrays import ArrayGeometry, build_grid
+from beamcs.channel import ChannelRealization, PathComponent
 from beamcs.codebooks import (Codebook, _beam_angles, _coherence_of_effective,
-                              _combined_indices, _phasor_table, _quantize_indices,
-                              dft_codebook, group_columns, random_codebook)
-from beamcs.detect import omp, signed_circular_diff
+                              _combined_indices, _nearest_index, _phasor_table,
+                              _quantize_indices, dft_codebook, group_columns, random_codebook)
+from beamcs.detect import BeamPair, omp, signed_circular_diff, true_pairs
 from beamcs.sweep import build_sensing_operator
 from oracles import DenseOperator, apply, residual, to_dense
 
@@ -147,6 +148,45 @@ def test_signed_circular_diff_range(n, est, true):
     d = signed_circular_diff(est, true, n)
     assert -(n // 2) <= d < n - n // 2
     assert (d - (est - true)) % n == 0
+
+
+def _exact_beam_sin(b: int, n_beams: int) -> Fraction:
+    # beam_sin_values(n_beams)[b] in exact arithmetic
+    return Fraction(2 * b, n_beams) - (2 if 2 * b >= n_beams else 0)
+
+
+def _nearest_beam_oracle(n_beams: int, sin: Fraction):
+    """The beam of smallest circular sin distance to sin, or None when two
+    beams lie within 1e-9 of that distance (a halfway point)."""
+    def distance(b):
+        d = abs(_exact_beam_sin(b, n_beams) - sin)
+        return min(d, 2 - d)
+
+    ranked = sorted(range(n_beams), key=distance)
+    if n_beams > 1 and distance(ranked[1]) - distance(ranked[0]) <= Fraction(1, 10**9):
+        return None
+    return ranked[0]
+
+
+@PROPS
+@given(n=st.integers(1, 256), sin=st.floats(-1.0, 1.0))
+def test_true_pairs_snaps_a_path_sine_to_the_circular_argmin(n, sin):
+    angle = math.asin(sin)
+    want = _nearest_beam_oracle(n, Fraction(math.sin(angle)))
+    assume(want is not None)
+    ch = ChannelRealization([PathComponent(1.0 + 0.0j, 0.0, angle, angle, 0, 0)], 1.0,
+                            ArrayGeometry(1), ArrayGeometry(1))
+    assert true_pairs(ch, n, n) == {BeamPair(want, want)}
+
+
+@PROPS
+@given(n=st.integers(1, 256), mult=st.integers(1, 8), data=st.data())
+def test_nearest_index_snaps_a_grid_bin_to_the_circular_argmin(n, mult, data):
+    # the expression cs_detect rounds bin g of an n * mult grid with
+    g = data.draw(st.integers(0, n * mult - 1))
+    want = _nearest_beam_oracle(n, _exact_beam_sin(g, n * mult))
+    assume(want is not None)
+    assert _nearest_index(g * n / (n * mult), n) == want
 
 
 def _raw_codebook(rng, n_entries, n_ant, n_cols):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from beamcs.arrays import ArrayGeometry, build_grid
 from beamcs.codebooks import total_coherence
-from beamcs.experiment import ExperimentConfig, run_experiment
+from beamcs.experiment import METHODS, ExperimentConfig, run_experiment
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -37,3 +37,17 @@ def test_tracer_reads_the_designed_build(tmp_path):
     assert coherence == total_coherence(cb, build_grid(ArrayGeometry(128), 3))
     by_pid, _ = tracer.collect()
     assert [s[0] for s in by_pid[tracer.pid]].count("codebooks.designed_codebook") == 1
+
+
+def test_every_traced_span_is_recorded(tmp_path):
+    # a traced function that the library stops calling through its module
+    # attribute (inlined, or bound under another name) records nothing, and
+    # its per-layer metric reads 0
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(tmp_path)
+    cfg = ExperimentConfig(methods=METHODS, snr_db=(20.0,), n_trials=1, designed_sweeps=1)
+    with tracer.patch():
+        run_experiment(cfg)
+    by_pid, _ = tracer.collect()
+    recorded = {span[0] for spans in by_pid.values() for span in spans}
+    assert not {name for _, _, name in tracing.TRACED} - recorded
