@@ -10,10 +10,9 @@ the grid-domain operator.
 
 import numpy as np
 
-from beamcs import (ArrayGeometry, ChannelParams, SweepConfig, acquire, beam_index_errors,
-                    build_grid, build_sensing_operator, cs_detect, dft_codebook,
-                    exhaustive_search, group_columns, sample_channel, sweep_signal,
-                    true_pairs)
+from beamcs import (ArrayGeometry, ChannelParams, acquire, beam_index_errors, build_grid,
+                    build_sensing_operator, cs_detect, dft_codebook, exhaustive_search,
+                    group_columns, sample_channel, sweep_signal, true_pairs)
 
 rng = np.random.default_rng(21)
 bs, ue = ArrayGeometry(64), ArrayGeometry(8)
@@ -24,7 +23,7 @@ tx_cb = dft_codebook(64, 64, 6)
 rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
 
 # 10 pilot subcarriers, shared by every SNR point; +10 dB transmit SNR
-cfg = SweepConfig(n_pilots=10)
+n_pilots = 10
 noise_var = 10.0 ** (-1.0)
 
 ch = sample_channel(ChannelParams(), bs, ue, rng)
@@ -32,7 +31,7 @@ truth = true_pairs(ch, 64, 8)
 print("true pairs:", sorted(truth))
 
 # the noiseless sweep over the channel, then combined receiver noise
-y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, noise_var, rng)
+y = acquire(sweep_signal(ch, tx_cb, rx_cb, n_pilots), rx_cb, noise_var, rng)
 print("measurement shape (pilot, tx entry, rx entry, chain):", y.shape)
 
 # exhaustive search ranks (tx entry, combiner column) energies

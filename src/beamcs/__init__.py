@@ -1,7 +1,7 @@
 """Compressed-sensing beam detection for swept initial-access pilots."""
 
 from .arrays import ArrayGeometry, beam_sin_values, build_grid, steering_vector
-from .channel import (ChannelParams, ChannelRealization, PathComponent,
+from .channel import (N_FFT, SAMPLE_RATE, ChannelParams, ChannelRealization, PathComponent,
                       factorized_channel, freq_channel, sample_channel)
 from .codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
                         multi_beam_dft_codebook, random_codebook, total_coherence)
@@ -11,7 +11,7 @@ from .experiment import (METHODS, ExperimentConfig, emit_csv, main,
                          parse_config_file, run_experiment)
 from .metrics import (GroupStats, TrialRecord, all_beam_match, detection_probability,
                       single_beam_match)
-from .sweep import (SensingOperator, SweepConfig, acquire, build_sensing_operator,
-                    sweep_signal, transmit_vectors)
+from .sweep import (SensingOperator, acquire, build_sensing_operator, pilots, sweep_signal,
+                    transmit_vectors)
 
 __version__ = "0.1.0"

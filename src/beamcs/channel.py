@@ -13,6 +13,13 @@ import numpy as np
 from .arrays import ArrayGeometry, steering_vector
 
 ANGLE_RANGE = (-math.pi / 2, math.pi / 2)  # field of view of path angles
+# 5G NR numerology mu = 3: 4096 subcarriers of 120 kHz. A path's delay enters
+# the response only as the subcarrier spacing times the delay, SAMPLE_RATE /
+# N_FFT * delay; the pilot block's centre offset N_FFT / 2 adds one phase per
+# path, which the circularly symmetric gains absorb in distribution. So
+# delay_max alone sets the frequency selectivity.
+N_FFT = 4096
+SAMPLE_RATE = 491.52e6
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,7 @@ def sample_channel(params: ChannelParams, tx_geometry: ArrayGeometry,
     return ChannelRealization(paths, gain_scale, tx_geometry, rx_geometry)
 
 
-def freq_channel(ch: ChannelRealization, subcarriers, sample_rate: float,
-                 n_fft: int) -> np.ndarray:
+def freq_channel(ch: ChannelRealization, subcarriers) -> np.ndarray:
     """(n_sub, n_rx, n_tx) response at each subcarrier, as the sum over paths.
 
     Each path's steering outer product is built once and scaled by its
@@ -102,13 +108,12 @@ def freq_channel(ch: ChannelRealization, subcarriers, sample_rate: float,
         outer = np.outer(steering_vector(ch.rx_geometry, p.aoa),
                          steering_vector(ch.tx_geometry, p.aod).conj())
         for ki, k in enumerate(subcarriers):
-            phase = np.exp(-2j * np.pi * sample_rate * p.delay * k / n_fft)
+            phase = np.exp(-2j * np.pi * SAMPLE_RATE * p.delay * k / N_FFT)
             h[ki] += p.gain * phase * outer
     return ch.gain_scale * h
 
 
-def factorized_channel(ch: ChannelRealization, subcarrier: int, sample_rate: float,
-                       n_fft: int):
+def factorized_channel(ch: ChannelRealization, subcarrier: int):
     """Same response split as (A_rx, H_d, A_tx) with H_d diagonal.
 
     A_rx @ H_d @ A_tx^H equals freq_channel; columns of the A factors are
@@ -117,6 +122,6 @@ def factorized_channel(ch: ChannelRealization, subcarrier: int, sample_rate: flo
     """
     a_rx = np.stack([steering_vector(ch.rx_geometry, p.aoa) for p in ch.paths], axis=1)
     a_tx = np.stack([steering_vector(ch.tx_geometry, p.aod) for p in ch.paths], axis=1)
-    phases = np.exp(-2j * np.pi * sample_rate * ch.delays * subcarrier / n_fft)
+    phases = np.exp(-2j * np.pi * SAMPLE_RATE * ch.delays * subcarrier / N_FFT)
     h_d = np.diag(ch.gain_scale * ch.gains * phases)
     return a_rx, h_d, a_tx

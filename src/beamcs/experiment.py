@@ -42,7 +42,7 @@ from .codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
                         multi_beam_dft_codebook, random_codebook)
 from .detect import beam_index_errors, cs_detect, exhaustive_search, true_pairs
 from .metrics import TrialRecord, all_beam_match, detection_probability, single_beam_match
-from .sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
+from .sweep import acquire, build_sensing_operator, pilots, sweep_signal
 
 # each method is a detector that reads one sweep, named by its tx codebook
 # kind; ES is the only detector that is not OMP
@@ -76,9 +76,7 @@ class ExperimentConfig:
     phase_bits: int = 6
     n_tx_entries: int = 64
     n_rx_entries: int = 2
-    n_fft: int = SweepConfig.n_fft
-    sample_rate: float = SweepConfig.sample_rate
-    n_pilots: int = SweepConfig.n_pilots
+    n_pilots: int = 10
     n_clusters: int = ChannelParams.n_clusters
     n_rays: int = ChannelParams.n_rays
     delay_max: float = ChannelParams.delay_max
@@ -109,10 +107,6 @@ class ExperimentConfig:
         return ChannelParams(**{f.name: getattr(self, f.name)
                                 for f in dataclasses.fields(ChannelParams)})
 
-    @property
-    def sweep(self) -> SweepConfig:
-        return SweepConfig(n_pilots=self.n_pilots, n_fft=self.n_fft, sample_rate=self.sample_rate)
-
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             what, admits = _FIELD_TYPES[f.type]
@@ -130,7 +124,7 @@ class ExperimentConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method in methods: %s" % ", ".join(self.methods))
         for name in ("n_trials", "n_ant_bs", "n_ant_ue", "n_tx_entries", "n_rx_entries",
-                     "n_rf_ue", "n_fft", "n_pilots", "phase_bits"):
+                     "n_rf_ue", "phase_bits"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
         for name in ("n_ant_bs", "n_ant_ue"):
@@ -139,7 +133,7 @@ class ExperimentConfig:
             except RuntimeError:
                 raise ValueError("phase_bits=%d has no exact-modulus phasor table at %s=%d"
                                  % (self.phase_bits, name, getattr(self, name))) from None
-        self.sweep  # its constructor checks the pilot block
+        pilots(self.n_pilots)  # checks the pilot count
         self.channel_params  # its constructor checks the channel fields
         multi_beam = [m for m in self.methods
                       if _SWEEP_KIND[m] in (KIND_MULTI_BEAM, KIND_DESIGNED)]
@@ -243,7 +237,7 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
             op = build_sensing_operator(tx_cb, rx_cb, assets["tx_grid"], assets["rx_grid"])
         else:
             (tx_cb, op), rx_cb = assets["sweeps"][kind], assets["rx_dft"]
-        signal = sweep_signal(ch, tx_cb, rx_cb, cfg.sweep)
+        signal = sweep_signal(ch, tx_cb, rx_cb, cfg.n_pilots)
         for method in (m for m in cfg.methods if _SWEEP_KIND[m] == kind):
             # one measurement per SNR point, drawn as the detector reads it
             ys = (acquire(signal, rx_cb, _noise_var(snr), np.random.default_rng(

@@ -2,7 +2,8 @@
 
 One sweep transmits every tx codebook entry against every rx codebook
 entry, and each rx entry feeds one RF chain per column. The codebooks
-alone fix the sweep's shape; `SweepConfig` holds only the pilot block. A
+alone fix the sweep's shape, and the pilot count is its only setting: the
+pilots are the centred block of that many subcarriers (`pilots`). A
 measurement is the C-ordered array
 
     y[k, i, j, r]   pilot k, tx entry i, rx entry j, chain r
@@ -26,33 +27,21 @@ never the dense matrix; only `_stacked_omp` repeats it over the pilots.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, freq_channel
+from .channel import N_FFT, ChannelRealization, freq_channel
 from .codebooks import Codebook
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n_pilots: int = 10
-    n_fft: int = 4096
-    sample_rate: float = 491.52e6
-
-    def __post_init__(self):
-        # written as `not (...)` so that NaN fails too
-        if not self.n_pilots >= 1:
-            raise ValueError("n_pilots must be positive")
-        if not self.n_fft >= self.n_pilots:
-            raise ValueError("n_pilots must not exceed n_fft")
-        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
-            raise ValueError("sample_rate must be positive and finite")
-
-    @property
-    def pilots(self) -> np.ndarray:
-        """Pilot subcarrier indices: the centered block of n_pilots."""
-        start = self.n_fft // 2 - self.n_pilots // 2
-        return start + np.arange(self.n_pilots)
+def pilots(n_pilots: int) -> np.ndarray:
+    """Pilot subcarrier indices: the centred block of n_pilots."""
+    # written as `not (...)` so that NaN fails too
+    if not 1 <= n_pilots <= N_FFT:
+        raise ValueError("n_pilots must be positive and at most the FFT size %d" % N_FFT)
+    start = N_FFT // 2 - n_pilots // 2
+    return np.arange(start, start + n_pilots)
 
 
 def transmit_vectors(tx_cb: Codebook) -> np.ndarray:
@@ -68,15 +57,15 @@ def transmit_vectors(tx_cb: Codebook) -> np.ndarray:
 
 
 def sweep_signal(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,
-                 cfg: SweepConfig) -> np.ndarray:
+                 n_pilots: int) -> np.ndarray:
     """Noiseless sweep over one channel: (pilot, tx entry, rx entry, chain)."""
     if tx_cb.n_ant != ch.tx_geometry.n_ant or rx_cb.n_ant != ch.rx_geometry.n_ant:
         raise ValueError("codebook antenna counts do not match the channel")
     w_h = rx_cb.columns.conj().T
     x = transmit_vectors(tx_cb)
-    h = freq_channel(ch, cfg.pilots, cfg.sample_rate, cfg.n_fft)
+    h = freq_channel(ch, pilots(n_pilots))
     sig = w_h @ h @ x
-    return sig.reshape(cfg.n_pilots, rx_cb.n_entries, rx_cb.n_cols,
+    return sig.reshape(n_pilots, rx_cb.n_entries, rx_cb.n_cols,
                        tx_cb.n_entries).transpose(0, 3, 1, 2)
 
 
@@ -119,14 +108,19 @@ class SensingOperator:
     columns, and a Gram column A^H a_g is kept as its two Kronecker factors
     (`gram_factors`), never as one n_bins-long row.
 
-    aliased is True when either factor has two exactly parallel columns
-    (`parallel_columns`), as the multi-beam transmit factor has at 128 and
-    256 antennas; `cs_detect` fits only alias-free operators to pilot means.
+    `cs_detect` fits only alias-free operators to pilot means (`aliased`).
     """
 
     tx_factor: np.ndarray  # (n_tx_entries, n_tx_bins)
     rx_factor: np.ndarray  # (n_rx_slots, n_rx_bins)
-    aliased: bool
+
+    @cached_property
+    def aliased(self) -> bool:
+        """True when either factor has two exactly parallel columns
+        (`parallel_columns`), as the multi-beam transmit factor has at 128
+        and 256 antennas. Worked out on the first read, by the first
+        `cs_detect` on this operator, so building an operator forms no Gram."""
+        return any(parallel_columns(f).any() for f in (self.tx_factor, self.rx_factor))
 
     @property
     def n_tx_bins(self) -> int:
@@ -199,14 +193,4 @@ def build_sensing_operator(tx_cb: Codebook, rx_cb: Codebook, tx_grid: np.ndarray
         raise ValueError("grid and codebook antenna counts differ")
     tx_factor = transmit_vectors(tx_cb).T @ tx_grid.conj()
     rx_factor = rx_cb.columns.conj().T @ rx_grid
-    # A factor C^H A with at least as many slots as antennas is skipped: no
-    # two grid atoms are parallel (their sin values differ), and C^H keeps
-    # them apart wherever it is injective, which holds for the DFT and
-    # grouped DFT codebooks at that size. A random codebook of that size
-    # need not be injective: at 4 antennas its tx factor has parallel
-    # columns for 43 of seeds 0-99 at 1 phase bit and 5 at 2 bits, and
-    # aliased stays False for them (no seed of 100 at 8, 16 or 64 antennas).
-    aliased = any(parallel_columns(f).any()
-                  for f, n_ant in ((tx_factor, tx_cb.n_ant), (rx_factor, rx_cb.n_ant))
-                  if f.shape[0] < n_ant)
-    return SensingOperator(tx_factor, rx_factor, aliased)
+    return SensingOperator(tx_factor, rx_factor)

@@ -4,14 +4,20 @@ against. None of them runs in a sweep."""
 import numpy as np
 from scipy import integrate, stats
 
+from beamcs.channel import N_FFT, SAMPLE_RATE
 from beamcs.codebooks import _phasor_table, _quantize_indices
 from beamcs.sweep import SensingOperator
 
 
-def DenseOperator(a: np.ndarray) -> SensingOperator:
+class DenseOperator(SensingOperator):
     """A plain dense matrix as a Kronecker operator with a 1 x 1 receive
-    factor, so that omp reads it like any sensing operator."""
-    return SensingOperator(np.asarray(a), np.ones((1, 1)), aliased=False)
+    factor, so that omp reads it like any sensing operator; cs_detect fits
+    it to pilot means whatever its columns, as an alias-free operator."""
+
+    aliased = False
+
+    def __init__(self, a: np.ndarray):
+        super().__init__(np.asarray(a), np.ones((1, 1)))
 
 
 def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:
@@ -107,11 +113,11 @@ def _strongest_of(df: int, noncentrality: float, n_cells: int) -> float:
     return value
 
 
-def pilot_mean_coherence(delay: float, pilots, sample_rate: float, n_fft: int) -> float:
-    """c = |sum_k exp(-j 2 pi f_s delay k / n_fft)|^2 / P^2 over the P pilot
+def pilot_mean_coherence(delay: float, pilots) -> float:
+    """c = |sum_k exp(-j 2 pi SAMPLE_RATE delay k / N_FFT)|^2 / P^2 over the P pilot
     subcarriers: the share of a path's energy that the pilot mean keeps."""
     k = np.asarray(pilots, dtype=float)
-    return float(abs(np.exp(-2j * np.pi * sample_rate * delay * k / n_fft).sum()) ** 2
+    return float(abs(np.exp(-2j * np.pi * SAMPLE_RATE * delay * k / N_FFT).sum()) ** 2
                  / k.size ** 2)
 
 

@@ -21,7 +21,7 @@ from beamcs.detect import BeamPair, cs_detect, exhaustive_search, omp, true_pair
 from beamcs import experiment
 from beamcs.experiment import (ExperimentConfig, _TAG_CHANNEL, _TAG_DESIGN, _seed,
                                emit_csv, run_experiment)
-from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
+from beamcs.sweep import acquire, build_sensing_operator, pilots, sweep_signal
 from oracles import (DenseOperator, apply, es_detection_probability, omp_detection_probability,
                      pilot_mean_coherence, to_dense)
 
@@ -240,8 +240,8 @@ def test_criterion_6a_channel_forms_agree():
     for _ in range(50):
         ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8), rng)
         ks = (0, 1024, 2043, 4095)
-        for k, h in zip(ks, freq_channel(ch, ks, sample_rate=491.52e6, n_fft=4096)):
-            a_rx, h_d, a_tx = factorized_channel(ch, k, sample_rate=491.52e6, n_fft=4096)
+        for k, h in zip(ks, freq_channel(ch, ks)):
+            a_rx, h_d, a_tx = factorized_channel(ch, k)
             rel = np.linalg.norm(h - a_rx @ h_d @ a_tx.conj().T) / np.linalg.norm(h)
             worst = max(worst, rel)
     print("criterion 6a: worst relative Frobenius difference %.2e (tol 1e-12)" % worst)
@@ -293,7 +293,6 @@ def test_criterion_6c_omp_equals_brute_force_l0():
 
 
 def test_criterion_6d_combined_noise_covariance():
-    cfg = SweepConfig(n_pilots=1)
     noise_var = 0.7
     tx_cb = dft_codebook(8, 1, 6)
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
@@ -304,7 +303,7 @@ def test_criterion_6d_combined_noise_covariance():
     rng = np.random.default_rng(64)
     draws = np.empty((10_000, 8), dtype=complex)
     for i in range(draws.shape[0]):
-        draws[i] = acquire(sweep_signal(silent, tx_cb, rx_cb, cfg), rx_cb, noise_var,
+        draws[i] = acquire(sweep_signal(silent, tx_cb, rx_cb, 1), rx_cb, noise_var,
                            rng).reshape(-1)
     got = draws.conj().T @ draws / draws.shape[0]
     rel = np.linalg.norm(got - want.T) / np.linalg.norm(want)
@@ -316,7 +315,6 @@ def test_criterion_6d_combined_noise_covariance():
 def test_criterion_7_noiseless_on_grid_end_to_end():
     tx_cb = dft_codebook(64, 64, 6)
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
-    cfg = SweepConfig(n_pilots=10)
     op = build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(64), 3),
                                 build_grid(ArrayGeometry(8), 3))
     tx_sins, rx_sins = beam_sin_values(64), beam_sin_values(8)
@@ -331,7 +329,7 @@ def test_criterion_7_noiseless_on_grid_end_to_end():
                                 ArrayGeometry(8))
         truth = true_pairs(ch, 64, 8)
         assert truth == {BeamPair(bt, br)}
-        y = acquire(sweep_signal(ch, tx_cb, rx_cb, cfg), rx_cb, 0.0, np.random.default_rng(t))
+        y = acquire(sweep_signal(ch, tx_cb, rx_cb, 10), rx_cb, 0.0, np.random.default_rng(t))
         hits_cs += set(cs_detect(op, [y], 1, 64, 8, 1)[0].estimated) == truth
         hits_es += set(exhaustive_search(y, 1).estimated) == truth
     print("criterion 7: noiseless on-grid p_all OMP-DFT %d/100, ES %d/100 (need 100)"
@@ -367,7 +365,6 @@ def test_criterion_9_detection_probability_matches_theory():
     # standard errors of theory.
     tx_cb = dft_codebook(64, 64, 6)
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
-    cfg = SweepConfig(n_pilots=10)
     op = build_sensing_operator(tx_cb, rx_cb, build_grid(ArrayGeometry(64), 1),
                                 build_grid(ArrayGeometry(8), 1))
     assert not op.aliased
@@ -378,8 +375,8 @@ def test_criterion_9_detection_probability_matches_theory():
     for delay in (0.0, 200e-9):
         path = PathComponent(1.0 + 0.0j, delay, math.asin(beam_sin_values(64)[5]),
                              math.asin(beam_sin_values(8)[3]), 0, 0)
-        signal = sweep_signal(replace(one_path, paths=[path]), tx_cb, rx_cb, cfg)
-        c = pilot_mean_coherence(delay, cfg.pilots, cfg.sample_rate, cfg.n_fft)
+        signal = sweep_signal(replace(one_path, paths=[path]), tx_cb, rx_cb, 10)
+        c = pilot_mean_coherence(delay, pilots(10))
         for snr in (-30.0, -28.0, -26.0):
             noise_var = 10.0 ** (-snr / 10.0)
             rng = np.random.default_rng(_seed(9, int(delay * 1e9), int(-snr)))

@@ -14,7 +14,7 @@ from beamcs.codebooks import (_nearest_index, designed_codebook, dft_codebook,
 from beamcs.detect import (BeamPair, beam_index_errors, cs_detect, exhaustive_search, omp,
                            signed_circular_diff, true_pairs)
 from beamcs.metrics import single_beam_match
-from beamcs.sweep import SweepConfig, acquire, build_sensing_operator, sweep_signal
+from beamcs.sweep import acquire, build_sensing_operator, sweep_signal
 from oracles import DenseOperator, residual, stacked_omp, to_dense
 
 
@@ -90,20 +90,16 @@ def test_halfway_bin_goes_to_the_lower_beam():
     # at grid multiplier 2 every odd bin is halfway between two beams; a
     # path on such a bin is fitted there, and bin and path both go to the
     # lower beam
-    tx, rx, cfg, op = cs_setup(2)
+    tx, rx, op = cs_setup(2)
     for tx_bin, want in ((41, 20), (127, 63)):
         path = PathComponent(1.0 + 0.0j, 0.0, math.asin(beam_sin_values(128)[tx_bin]),
                              math.asin(beam_sin_values(8)[2]), 0, 0)
         ch = make_channel([path])
-        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+        y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.0, np.random.default_rng(0))
         out = cs_detect(op, [y], sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)[0]
         assert out.support == (tx_bin * op.n_rx_bins + 4,)
         assert out.estimated == (BeamPair(want, 2),)
         assert true_pairs(ch, 64, 8) == {BeamPair(want, 2)}
-
-
-def default_sweep():
-    return SweepConfig(n_pilots=10)
 
 
 def dft_pair_codebooks(n_tx=64, n_ue=8):
@@ -113,7 +109,7 @@ def dft_pair_codebooks(n_tx=64, n_ue=8):
 def test_exhaustive_search_finds_aligned_path():
     ch = make_channel([on_beam_path(23, 5)])
     tx, rx = dft_pair_codebooks()
-    y = acquire(sweep_signal(ch, tx, rx, default_sweep()), rx, 0.0, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.0, np.random.default_rng(0))
     out = exhaustive_search(y, 1)
     assert out.estimated == (BeamPair(23, 5),)
 
@@ -122,7 +118,7 @@ def test_exhaustive_search_matches_brute_force_ranking():
     ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                         np.random.default_rng(21))
     tx, rx = dft_pair_codebooks()
-    y = acquire(sweep_signal(ch, tx, rx, default_sweep()), rx, 0.5, np.random.default_rng(22))
+    y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.5, np.random.default_rng(22))
     n_pairs = 5
     out = exhaustive_search(y, n_pairs)
     # independent route: accumulate energies straight from the stacked vector
@@ -224,7 +220,7 @@ def test_gram_omp_matches_the_residual_loop_on_one_block():
         for seed in range(3):
             ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                                 np.random.default_rng(seed))
-            signal = sweep_signal(ch, tx, rx, SweepConfig())
+            signal = sweep_signal(ch, tx, rx, 10)
             for snr_db in snrs:
                 y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
                             np.random.default_rng(200 + seed)).mean(axis=0).reshape(-1)
@@ -249,7 +245,7 @@ def test_batched_omp_rows_equal_the_rows_fitted_alone_bitwise():
         for seed in range(2):
             ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                                 np.random.default_rng(seed))
-            signal = sweep_signal(ch, tx, rx, SweepConfig())
+            signal = sweep_signal(ch, tx, rx, 10)
             ys = np.stack([acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
                                    np.random.default_rng(300 + seed)).mean(axis=0).reshape(-1)
                            for snr_db in np.arange(-30.0, 35.0, 5.0)])
@@ -296,23 +292,23 @@ def cs_setup(multiplier, n_tx=64, n_ue=8, seed=7):
     tx_grid = build_grid(ArrayGeometry(n_tx), multiplier)
     rx_grid = build_grid(ArrayGeometry(n_ue), multiplier)
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid)
-    return tx, rx, default_sweep(), op
+    return tx, rx, op
 
 
 def test_cs_detect_on_grid_single_path():
     for mult in (1, 3):
-        tx, rx, cfg, op = cs_setup(mult)
+        tx, rx, op = cs_setup(mult)
         ch = make_channel([on_beam_path(37, 2)])
-        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+        y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.0, np.random.default_rng(0))
         out = cs_detect(op, [y], sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)[0]
         assert out.estimated == (BeamPair(37, 2),)
         assert not out.ridge_flagged
 
 
 def test_cs_detect_support_bin_arithmetic():
-    tx, rx, cfg, op = cs_setup(3)
+    tx, rx, op = cs_setup(3)
     ch = make_channel([on_beam_path(10, 6)])
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.0, np.random.default_rng(0))
     out = cs_detect(op, [y], sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=1)[0]
     g = out.support[0]
     # bin splits as (tx_bin, rx_bin) with the rx grid minor
@@ -320,9 +316,9 @@ def test_cs_detect_support_bin_arithmetic():
 
 
 def test_cs_detect_pads_when_dedup_runs_short():
-    tx, rx, cfg, op = cs_setup(1)
+    tx, rx, op = cs_setup(1)
     ch = make_channel([on_beam_path(20, 4)])
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.0, np.random.default_rng(0))
     out = cs_detect(op, [y], sparsity=1, n_tx_beams=64, n_rx_beams=8, n_pairs=2)[0]
     assert len(out.estimated) == 2
     assert out.estimated[0] == BeamPair(20, 4)
@@ -337,10 +333,10 @@ def test_cs_detect_fills_from_the_residual_when_support_pairs_coincide():
         return {(_nearest_index(g // op.n_rx_bins * n_tx_beams / op.n_tx_bins, n_tx_beams),
                  _nearest_index(g % op.n_rx_bins * 8 / op.n_rx_bins, 8)) for g in out.support}
 
-    tx, rx, cfg, op = cs_setup(3)
+    tx, rx, op = cs_setup(3)
     # a quarter beam off beam 20: both picks round to (20, 4)
     path = replace(on_beam_path(20, 4), aod=math.asin(beam_sin_values(64)[20] + 0.5 / 64))
-    y = acquire(sweep_signal(make_channel([path]), tx, rx, cfg), rx, 0.01,
+    y = acquire(sweep_signal(make_channel([path]), tx, rx, 10), rx, 0.01,
                 np.random.default_rng(0))
     out = cs_detect(op, [y], sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=3)[0]
     assert support_pairs(op, out, 64) == {(20, 4)}
@@ -352,7 +348,7 @@ def test_cs_detect_fills_from_the_residual_when_support_pairs_coincide():
     assert op.aliased
     ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
                         np.random.default_rng(17))
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.1, np.random.default_rng(117))
+    y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.1, np.random.default_rng(117))
     out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=5)[0]
     assert len(support_pairs(op, out, 128)) == 4
     assert out.estimated == (BeamPair(121, 4), BeamPair(12, 1), BeamPair(55, 5),
@@ -360,9 +356,9 @@ def test_cs_detect_fills_from_the_residual_when_support_pairs_coincide():
 
 
 def test_cs_detect_two_separated_paths():
-    tx, rx, cfg, op = cs_setup(3)
+    tx, rx, op = cs_setup(3)
     ch = make_channel([on_beam_path(8, 1, gain=2.0), on_beam_path(50, 6, gain=1.0)])
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.0, np.random.default_rng(0))
     out = cs_detect(op, [y], sparsity=2, n_tx_beams=64, n_rx_beams=8, n_pairs=2)[0]
     assert set(out.estimated) == {BeamPair(8, 1), BeamPair(50, 6)}
     # stronger path carries the larger coefficient, so it ranks first
@@ -370,7 +366,7 @@ def test_cs_detect_two_separated_paths():
 
 
 def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
-    tx, rx, cfg, op = cs_setup(3)
+    tx, rx, op = cs_setup(3)
     noise_var = 10.0 ** (-3.0)  # +30 dB transmit SNR
     hits = 0
     n = 500
@@ -378,7 +374,7 @@ def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
         ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                             np.random.default_rng(10_000 + t))
         truth = true_pairs(ch, 64, 8)
-        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, noise_var,
+        y = acquire(sweep_signal(ch, tx, rx, 10), rx, noise_var,
                     np.random.default_rng(20_000 + t))
         out = cs_detect(op, [y], sparsity=6, n_tx_beams=64, n_rx_beams=8,
                         n_pairs=len(truth))[0]
@@ -412,7 +408,7 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
         for seed in range(2):
             ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
                                 np.random.default_rng(seed))
-            signal = sweep_signal(ch, tx, rx, SweepConfig(n_pilots=2))
+            signal = sweep_signal(ch, tx, rx, 2)
             for snr_db in (-10.0, 10.0, 30.0):
                 y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
                             np.random.default_rng(100 + seed))
@@ -423,7 +419,6 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
 def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
     tx = multi_beam_dft_codebook(128, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    cfg = SweepConfig(n_pilots=10)
     op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(128), 3),
                                 build_grid(ArrayGeometry(8), 3))
     assert op.aliased
@@ -438,7 +433,7 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
     for seed in range(3):
         ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
                             np.random.default_rng(seed))
-        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.01, np.random.default_rng(50 + seed))
+        y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.01, np.random.default_rng(50 + seed))
         out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)[0]
         # the reference loop on the flat measurement and tiled columns
         support, coefficients = stacked_omp(op, y, 6)
@@ -454,7 +449,7 @@ def test_cs_detect_fits_each_aliased_measurement_before_reading_the_next(monkeyp
     assert op.aliased
     ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
                         np.random.default_rng(4))
-    signal = sweep_signal(ch, tx, rx, SweepConfig(n_pilots=2))
+    signal = sweep_signal(ch, tx, rx, 2)
     drawn = []
 
     def measurements():

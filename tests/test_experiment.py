@@ -63,19 +63,18 @@ def test_validate_rejects_bad_configs():
                            (dict(n_rx_entries=1, n_rf_ue=5, methods=("OMP-DFT",)), "OMP-DFT")):
         with pytest.raises(ValueError, match="^%s combines with DFT beams" % method):
             ExperimentConfig(**fields).validate()
-    for name in ("phase_bits", "n_pilots", "n_fft", "n_tx_entries", "n_rx_entries", "n_rf_ue",
+    for name in ("phase_bits", "n_pilots", "n_tx_entries", "n_rx_entries", "n_rf_ue",
                  "n_ant_bs", "n_ant_ue"):
         with pytest.raises(ValueError, match=name + " must be positive"):
             ExperimentConfig(**{name: 0}).validate()
-    # sample_rate=0 silently made the channel frequency-flat
-    for value in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
-            ExperimentConfig(sample_rate=value).validate()
     # only validated: a 40-bit phase table would need terabytes
     with pytest.raises(ValueError, match="phase_bits must not exceed 16"):
         ExperimentConfig(phase_bits=40).validate()
-    with pytest.raises(ValueError, match="n_pilots must not exceed n_fft"):
-        ExperimentConfig(n_fft=4).validate()
+    # the pilots are a block of the 4096 subcarriers
+    with pytest.raises(ValueError, match="^n_pilots must be positive and at most the FFT size "
+                                         "4096$"):
+        ExperimentConfig(n_pilots=4097).validate()
+    ExperimentConfig(n_pilots=4096).validate()
     # the channel fields, each otherwise caught only in the first trial
     for bad, message in ((dict(n_clusters=0), "n_clusters must be positive"),
                          (dict(n_rays=0), "n_rays must be positive"),
@@ -127,13 +126,13 @@ def test_validate_rejects_bad_configs():
                               ("methods", "ES", "a sequence of strings"),
                               ("methods", ("ES", 1), "a sequence of strings"),
                               ("n_trials", True, "an integer"),
-                              ("sample_rate", "491.52e6", "a real number"),
+                              ("delay_max", "2e-7", "a real number"),
                               ("delay_max", False, "a real number"),
                               ("out_dir", 5, "a str or a path")):
         with pytest.raises(ValueError, match="^%s must be %s$" % (name, what)):
             ExperimentConfig(**{name: value}).validate()
     ExperimentConfig(snr_db=[0.0, 5], methods=["ES"], out_dir=Path("out"),
-                     sample_rate=np.float32(4e8)).validate()
+                     delay_max=np.float32(2e-7)).validate()
 
 
 def test_validate_holds_the_es_energy_below_the_float_range():
@@ -320,9 +319,10 @@ def test_parse_config_file_rejects_unknown_key(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_file(p)
     # fields an older config file may still set
-    for key in ("sparsity = 6", "tx_grid_mult = 3", "rx_grid_mult = 3"):
-        p.write_text(key + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^line 1, key '%s': unknown config key$"
+    for key in ("sparsity = 6", "tx_grid_mult = 3", "rx_grid_mult = 3", "n_fft = 4096",
+                "sample_rate = 4e8"):
+        p.write_text("n_trials = 2\n" + key + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 2, key '%s': unknown config key$"
                                              % key.split()[0]):
             parse_config_file(p)
 
@@ -539,6 +539,17 @@ def test_main_cli_rejects_es_with_large_array(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("error: exhaustive search requires one sweep entry per transmit beam: "
                    "n_tx_entries ≥ n_ant_bs\n")
+
+
+def test_main_cli_rejects_too_many_pilots_and_removed_keys(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    for text, line in (("n_pilots = 4097\n",
+                        "n_pilots must be positive and at most the FFT size 4096"),
+                       ("n_fft = 4096\n", "line 1, key 'n_fft': unknown config key")):
+        p.write_text(text, encoding="utf-8")
+        assert main(["--config", str(p), "--trials", "1", "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % line
+    assert not (tmp_path / "r").exists()
 
 
 def test_main_cli_rejects_bad_snr(tmp_path, capsys):

@@ -1,17 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import beamcs.sweep
 from beamcs.arrays import ArrayGeometry, beam_sin_values, build_grid, steering_vector
-from beamcs.channel import (ChannelRealization, PathComponent, sample_channel, ChannelParams,
-                            freq_channel)
+from beamcs.channel import (N_FFT, SAMPLE_RATE, ChannelRealization, PathComponent,
+                            sample_channel, ChannelParams, freq_channel)
 from beamcs.codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
                               multi_beam_dft_codebook, random_codebook)
-from beamcs.sweep import (SweepConfig, acquire, build_sensing_operator, parallel_columns,
+from beamcs.sweep import (acquire, build_sensing_operator, parallel_columns, pilots,
                           sweep_signal, transmit_vectors)
 from oracles import apply, combine_noise, to_dense
-
-FS = 491.52e6
 
 
 def raw_codebook(entries):
@@ -20,15 +21,8 @@ def raw_codebook(entries):
     return Codebook("DFT", None, None, entries)
 
 
-def default_cfg(**kw):
-    base = dict(n_pilots=10, n_fft=4096, sample_rate=FS)
-    base.update(kw)
-    return SweepConfig(**base)
-
-
 def test_default_pilots_are_centered():
-    cfg = default_cfg()
-    assert list(cfg.pilots) == list(range(2043, 2053))
+    assert list(pilots(10)) == list(range(2043, 2053))
 
 
 def test_transmit_vectors_unit_norm_and_equal_gain():
@@ -46,15 +40,14 @@ def test_measurement_vector_length_and_energy_layout():
     ch = sample_channel(ChannelParams(), bs, ue, np.random.default_rng(1))
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    cfg = default_cfg()
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.1, np.random.default_rng(2))
+    y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.1, np.random.default_rng(2))
     assert y.shape == (10, 64, 2, 4)  # pilot, tx entry, rx entry, chain
     assert y.flags.c_contiguous
     # flat order: pilot-major, then block m = i*n_rx_entries + j, then chain
-    quiet = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(2))
+    quiet = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.0, np.random.default_rng(2))
     x = transmit_vectors(tx)
     w = np.concatenate([rx.entries[j] for j in range(2)], axis=1)
-    h = freq_channel(ch, cfg.pilots, FS, 4096)
+    h = freq_channel(ch, pilots(10))
     for (i, j, r, k) in [(0, 0, 0, 0), (5, 1, 2, 3), (63, 1, 3, 9), (17, 0, 1, 7)]:
         flat = k * 128 * 4 + (i * 2 + j) * 4 + r
         want = w[:, j * 4 + r].conj() @ h[k] @ x[:, i]
@@ -69,7 +62,7 @@ def default_sweep_inputs():
 
 def test_acquire_without_noise_returns_the_signal():
     ch, tx, rx = default_sweep_inputs()
-    signal = sweep_signal(ch, tx, rx, default_cfg())
+    signal = sweep_signal(ch, tx, rx, 10)
     y = acquire(signal, rx, 0.0, np.random.default_rng(3))
     assert np.array_equal(y, signal)
 
@@ -95,7 +88,7 @@ def test_acquire_combines_the_noise_per_rx_entry(rx):
 
 def test_acquire_rejects_mismatched_signal_and_combiner():
     ch, tx, rx = default_sweep_inputs()
-    signal = sweep_signal(ch, tx, rx, default_cfg())
+    signal = sweep_signal(ch, tx, rx, 10)
     with pytest.raises(ValueError, match="rx codebook shape"):
         acquire(signal, group_columns(dft_codebook(8, 8, 6), 2), 0.1,
                 np.random.default_rng(0))
@@ -103,7 +96,7 @@ def test_acquire_rejects_mismatched_signal_and_combiner():
 
 def test_acquire_rejects_bad_noise_var():
     ch, tx, rx = default_sweep_inputs()
-    signal = sweep_signal(ch, tx, rx, default_cfg())
+    signal = sweep_signal(ch, tx, rx, 10)
     for noise_var in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="noise_var must be non-negative and finite"):
             acquire(signal, rx, noise_var, np.random.default_rng(0))
@@ -115,14 +108,13 @@ def test_noiseless_aligned_measurement_closed_form():
     ch = ChannelRealization([path], gain_scale=np.sqrt(32 * 8), tx_geometry=bs, rx_geometry=ue)
     tx = raw_codebook(steering_vector(bs, path.aod)[None, :, None])
     rx = raw_codebook(steering_vector(ue, path.aoa)[None, :, None])
-    cfg = SweepConfig(n_pilots=4)
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, 4), rx, 0.0, np.random.default_rng(0))
     # perfectly matched beams collapse to scale * gain per pilot
     want_mag = ch.gain_scale * abs(path.gain)
     assert_allclose(np.abs(y.reshape(-1)), np.full(4, want_mag), rtol=1e-12)
-    k0 = cfg.pilots[0]
+    k0 = pilots(4)[0]
     want = ch.gain_scale * path.gain * np.exp(
-        -2j * np.pi * FS * path.delay * k0 / cfg.n_fft)
+        -2j * np.pi * SAMPLE_RATE * path.delay * k0 / N_FFT)
     assert_allclose(y[0, 0, 0, 0], want, rtol=1e-12)
 
 
@@ -135,10 +127,9 @@ def test_combined_noise_covariance_is_shaped_by_combiner():
     rx = random_codebook(8, 1, 4, 6, rng)
     tx = random_codebook(4, 200, 1, 6, rng)
     noise_var = 0.37
-    cfg = SweepConfig(n_pilots=2)
     draws = []
     for rep in range(10):
-        y = acquire(sweep_signal(ch, tx, rx, cfg), rx, noise_var,
+        y = acquire(sweep_signal(ch, tx, rx, 2), rx, noise_var,
                     np.random.default_rng(100 + rep))
         y = y.reshape(2, 200, 4)                 # pilot, block, chain
         draws.append(y.transpose(1, 0, 2).reshape(200, 8))
@@ -314,8 +305,7 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     rng = np.random.default_rng(3)
     tx = random_codebook(16, 12, 1, 6, rng)
     rx = random_codebook(8, 2, 3, 6, rng)
-    cfg = SweepConfig(n_pilots=4)
-    y = acquire(sweep_signal(ch, tx, rx, cfg), rx, 0.0, np.random.default_rng(0))
+    y = acquire(sweep_signal(ch, tx, rx, 4), rx, 0.0, np.random.default_rng(0))
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid)
     h = np.zeros(op.shape[1], dtype=complex)
     for g, (bt, br) in zip(gains, bins):
@@ -325,11 +315,37 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig(n_pilots=0)
-    nan = float("nan")
-    for kw, field in ((dict(n_fft=0), "n_fft"), (dict(n_pilots=20, n_fft=8), "n_fft"),
-                      (dict(sample_rate=-1.0), "sample_rate"),
-                      (dict(sample_rate=nan), "sample_rate")):
-        with pytest.raises(ValueError, match=field):
-            SweepConfig(**kw)
+    for n_pilots in (0, -1, N_FFT + 1, float("nan")):
+        with pytest.raises(ValueError, match="^n_pilots must be positive and at most the FFT "
+                                             "size 4096$"):
+            pilots(n_pilots)
+    assert list(pilots(N_FFT)) == list(range(N_FFT))
+    assert list(pilots(1)) == [N_FFT // 2]
+
+
+def test_random_operator_is_aliased_exactly_when_its_transmit_factor_is():
+    # a random codebook with as many slots as antennas need not be injective
+    # on the grid: at 4 antennas and 1 phase bit its transmit factor has
+    # parallel columns for 43 of these seeds; the DFT combiner never does
+    rx = group_columns(dft_codebook(8, 8, 6), 4)
+    grids = build_grid(ArrayGeometry(4), 3), build_grid(ArrayGeometry(8), 3)
+    aliased, marked = [], []
+    for seed in range(100):
+        tx = random_codebook(4, 4, 1, 1, np.random.default_rng(seed))
+        op = build_sensing_operator(tx, rx, *grids)
+        aliased.append(op.aliased)
+        marked.append(bool(parallel_columns(op.tx_factor).any()))
+    assert aliased == marked
+    assert sum(marked) == 43 and marked[0]
+
+
+def test_aliased_is_worked_out_on_the_first_read_only():
+    # building an operator forms no Gram, so a run's set-up carries none
+    tx, rx = dft_codebook(64, 64, 6), group_columns(dft_codebook(8, 8, 6), 4)
+    with mock.patch.object(beamcs.sweep, "parallel_columns",
+                           wraps=beamcs.sweep.parallel_columns) as spy:
+        op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(64), 3),
+                                    build_grid(ArrayGeometry(8), 3))
+        assert spy.call_count == 0
+        assert not op.aliased and not op.aliased
+        assert spy.call_count == 2  # the two factors, once
