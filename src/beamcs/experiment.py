@@ -77,10 +77,7 @@ class ExperimentConfig:
     n_tx_entries: int = 64
     n_rx_entries: int = 2
     n_pilots: int = 10
-    n_clusters: int = ChannelParams.n_clusters
-    n_rays: int = ChannelParams.n_rays
     delay_max: float = ChannelParams.delay_max
-    ray_angle_std: float = ChannelParams.ray_angle_std
     snr_db: tuple[float, ...] = tuple(float(v) for v in range(-30, 35, 5))
     n_trials: int = 500
     methods: tuple[str, ...] = METHODS[:3]
@@ -100,12 +97,12 @@ class ExperimentConfig:
     @property
     def effective_sparsity(self) -> int:
         """OMP's pick count, one per channel path; the benchmark checks reports against it."""
-        return self.n_clusters * self.n_rays
+        return ChannelParams.n_clusters * ChannelParams.n_rays
 
     @property
     def channel_params(self) -> ChannelParams:
-        return ChannelParams(**{f.name: getattr(self, f.name)
-                                for f in dataclasses.fields(ChannelParams)})
+        """The channel of every trial: ChannelParams' defaults at this delay_max."""
+        return ChannelParams(delay_max=self.delay_max)
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
@@ -134,7 +131,7 @@ class ExperimentConfig:
                 raise ValueError("phase_bits=%d has no exact-modulus phasor table at %s=%d"
                                  % (self.phase_bits, name, getattr(self, name))) from None
         pilots(self.n_pilots)  # checks the pilot count
-        self.channel_params  # its constructor checks the channel fields
+        self.channel_params  # its constructor checks delay_max
         multi_beam = [m for m in self.methods
                       if _SWEEP_KIND[m] in (KIND_MULTI_BEAM, KIND_DESIGNED)]
         if multi_beam and self.n_ant_bs % self.n_tx_entries:
@@ -158,9 +155,6 @@ class ExperimentConfig:
                              "n_rx_entries * n_rf_ue" % _GRID_MULT)
         if self.designed_sweeps < 0:
             raise ValueError("designed_sweeps must be non-negative")
-        n_bins = _GRID_MULT ** 2 * self.n_ant_bs * self.n_ant_ue
-        if self.effective_sparsity > n_bins:
-            raise ValueError("n_clusters * n_rays must not exceed the grid's %d bins" % n_bins)
         if not self.snr_db:
             raise ValueError("snr_db must not be empty")
         # _snr_key rounds 1000 * float(s) to an integer, so that must be finite too

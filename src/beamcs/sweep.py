@@ -45,14 +45,11 @@ def pilots(n_pilots: int) -> np.ndarray:
 
 
 def transmit_vectors(tx_cb: Codebook) -> np.ndarray:
-    """Unit-norm effective transmit vector per codebook entry.
-
-    Multi-column entries are driven with the equal-gain baseband vector,
-    then renormalized.
-    """
-    s = np.ones(tx_cb.n_cols) / np.sqrt(tx_cb.n_cols)
-    # built C-ordered, so the norms below sum over antennas in one fixed order
-    x = tx_cb.entries.transpose(1, 0, 2) @ s
+    """Unit-norm transmit vector per entry of a single-column codebook."""
+    if tx_cb.n_cols != 1:
+        raise ValueError("a transmit codebook has one column per entry, not %d" % tx_cb.n_cols)
+    # C-ordered, so the norms below sum over antennas in one fixed order
+    x = tx_cb.columns
     return x / np.linalg.norm(x, axis=0, keepdims=True)
 
 

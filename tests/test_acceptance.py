@@ -92,8 +92,7 @@ def strongest_positions(default_run):
     _run_trial; beam_index_errors orders its entries by sorted(truth).
     """
     cfg, _, _ = default_run
-    params = ChannelParams(n_clusters=cfg.n_clusters, n_rays=cfg.n_rays,
-                           delay_max=cfg.delay_max, ray_angle_std=cfg.ray_angle_std)
+    params = cfg.channel_params
     bs, ue = ArrayGeometry(cfg.n_ant_bs), ArrayGeometry(cfg.n_ant_ue)
     positions = {}
     for t in range(cfg.n_trials):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -123,3 +125,7 @@ def test_params_validation():
         ChannelParams(n_clusters=0)
     with pytest.raises(ValueError):
         ChannelParams(n_rays=0)
+    # NaN passed the `< 0` test, inf passed every test
+    for value in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^ray_angle_std must be non-negative and finite$"):
+            ChannelParams(ray_angle_std=value)

@@ -75,18 +75,13 @@ def test_validate_rejects_bad_configs():
                                          "4096$"):
         ExperimentConfig(n_pilots=4097).validate()
     ExperimentConfig(n_pilots=4096).validate()
-    # the channel fields, each otherwise caught only in the first trial
-    for bad, message in ((dict(n_clusters=0), "n_clusters must be positive"),
-                         (dict(n_rays=0), "n_rays must be positive"),
-                         (dict(delay_max=-1e-9), "delay_max must be non-negative"),
-                         (dict(ray_angle_std=-0.01), "ray_angle_std must be non-negative")):
-        with pytest.raises(ValueError, match=message):
-            ExperimentConfig(**bad).validate()
-    # NaN passed the `<= 0` and `< 0` tests, inf passed every test
-    for name, kind in (("delay_max", "non-negative"), ("ray_angle_std", "non-negative")):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="%s must be %s and finite" % (name, kind)):
-                ExperimentConfig(**{name: value}).validate()
+    # the channel field, otherwise caught only in the first trial
+    with pytest.raises(ValueError, match="delay_max must be non-negative"):
+        ExperimentConfig(delay_max=-1e-9).validate()
+    # NaN passed the `< 0` test, inf passed every test
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delay_max must be non-negative and finite"):
+            ExperimentConfig(delay_max=value).validate()
     # these failed in _snr_key with errors that named no field
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="snr_db points must be finite"):
@@ -105,14 +100,9 @@ def test_validate_rejects_bad_configs():
     ExperimentConfig(snr_db=(-3042.0, 4000.0)).validate()
     with pytest.raises(ValueError, match="designed_sweeps"):
         ExperimentConfig(designed_sweeps=-1, methods=("OMP-Designed",)).validate()
-    # OMP picks n_clusters * n_rays of the default grid's 64*3 x 8*3 = 4608 bins
-    with pytest.raises(ValueError, match="n_clusters \\* n_rays must not exceed the grid's "
-                                         "4608 bins"):
-        ExperimentConfig(n_rays=2305).validate()
-    ExperimentConfig(n_rays=2304).validate()
     # these passed, and the run failed after set-up with "'float' object
     # cannot be interpreted as an integer"
-    for name, value in (("n_trials", 2.5), ("n_clusters", 1.5), ("n_pilots", 10.0),
+    for name, value in (("n_trials", 2.5), ("n_rf_ue", 1.5), ("n_pilots", 10.0),
                         ("n_ant_bs", 64.0), ("workers", "2")):
         with pytest.raises(ValueError, match="^%s must be an integer$" % name):
             ExperimentConfig(**{name: value}).validate()
@@ -320,7 +310,7 @@ def test_parse_config_file_rejects_unknown_key(tmp_path):
         parse_config_file(p)
     # fields an older config file may still set
     for key in ("sparsity = 6", "tx_grid_mult = 3", "rx_grid_mult = 3", "n_fft = 4096",
-                "sample_rate = 4e8"):
+                "sample_rate = 4e8", "n_clusters = 2", "n_rays = 3", "ray_angle_std = 0.1"):
         p.write_text("n_trials = 2\n" + key + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^line 2, key '%s': unknown config key$"
                                              % key.split()[0]):
@@ -375,7 +365,7 @@ def test_run_experiment_error_lists_sized_by_truth(tiny_run):
     cfg, records, _ = tiny_run
     for r in records:
         assert len(r.tx_errors) == len(r.rx_errors)
-        assert 1 <= len(r.tx_errors) <= cfg.n_clusters * cfg.n_rays
+        assert 1 <= len(r.tx_errors) <= cfg.effective_sparsity
         if r.all_match:
             assert r.single_match
 

@@ -25,14 +25,17 @@ def test_default_pilots_are_centered():
     assert list(pilots(10)) == list(range(2043, 2053))
 
 
-def test_transmit_vectors_unit_norm_and_equal_gain():
+def test_transmit_vectors_unit_norm_and_single_column():
     rng = np.random.default_rng(0)
-    cb = random_codebook(16, 4, 2, 6, rng)
+    cb = random_codebook(16, 4, 1, 6, rng)
     x = transmit_vectors(cb)
     assert x.shape == (16, 4)
     assert_allclose(np.linalg.norm(x, axis=0), np.ones(4), atol=1e-12)
-    want = cb.entries[0] @ (np.ones(2) / np.sqrt(2))
-    assert_allclose(x[:, 0], want / np.linalg.norm(want), atol=1e-12)
+    assert_allclose(x[:, 0], cb.entries[0, :, 0] / np.linalg.norm(cb.entries[0, :, 0]),
+                    atol=1e-12)
+    with pytest.raises(ValueError, match="^a transmit codebook has one column per entry, "
+                                         "not 2$"):
+        transmit_vectors(random_codebook(16, 4, 2, 6, rng))
 
 
 def test_measurement_vector_length_and_energy_layout():
