@@ -12,7 +12,7 @@ import numpy as np
 
 from beamcs import (ArrayGeometry, ChannelParams, acquire, beam_index_errors, build_grid,
                     build_sensing_operator, cs_detect, dft_codebook, exhaustive_search,
-                    group_columns, sample_channel, sweep_signal, true_pairs)
+                    group_columns, pilot_response, sample_channel, sweep_signal, true_pairs)
 
 rng = np.random.default_rng(21)
 bs, ue = ArrayGeometry(64), ArrayGeometry(8)
@@ -31,7 +31,7 @@ truth = true_pairs(ch, 64, 8)
 print("true pairs:", sorted(truth))
 
 # the noiseless sweep over the channel, then combined receiver noise
-y = acquire(sweep_signal(ch, tx_cb, rx_cb, n_pilots), rx_cb, noise_var, rng)
+y = acquire(sweep_signal(pilot_response(ch, n_pilots), tx_cb, rx_cb), rx_cb, noise_var, rng)
 print("measurement shape (pilot, tx entry, rx entry, chain):", y.shape)
 
 # exhaustive search ranks (tx entry, combiner column) energies

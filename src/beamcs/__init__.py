@@ -11,7 +11,7 @@ from .experiment import (METHODS, ExperimentConfig, emit_csv, main,
                          parse_config_file, run_experiment)
 from .metrics import (GroupStats, TrialRecord, all_beam_match, detection_probability,
                       single_beam_match)
-from .sweep import (SensingOperator, acquire, build_sensing_operator, pilots, sweep_signal,
-                    transmit_vectors)
+from .sweep import (SensingOperator, acquire, build_sensing_operator, pilot_response, pilots,
+                    sweep_signal, transmit_vectors)
 
 __version__ = "0.1.0"

@@ -98,8 +98,9 @@ def sample_channel(params: ChannelParams, tx_geometry: ArrayGeometry,
 def freq_channel(ch: ChannelRealization, subcarriers) -> np.ndarray:
     """(n_sub, n_rx, n_tx) response at each subcarrier, as the sum over paths.
 
-    Each path's steering outer product is built once and scaled by its
-    gain and delay phase per subcarrier.
+    Each path's steering outer product is built once and added at every
+    subcarrier at once, scaled by the path's per-subcarrier weights (gain
+    times delay phase).
     """
     subcarriers = [int(k) for k in subcarriers]  # the phase below is scalar arithmetic
     h = np.zeros((len(subcarriers), ch.rx_geometry.n_ant, ch.tx_geometry.n_ant),
@@ -107,9 +108,9 @@ def freq_channel(ch: ChannelRealization, subcarriers) -> np.ndarray:
     for p in ch.paths:
         outer = np.outer(steering_vector(ch.rx_geometry, p.aoa),
                          steering_vector(ch.tx_geometry, p.aod).conj())
-        for ki, k in enumerate(subcarriers):
-            phase = np.exp(-2j * np.pi * SAMPLE_RATE * p.delay * k / N_FFT)
-            h[ki] += p.gain * phase * outer
+        w = np.array([p.gain * np.exp(-2j * np.pi * SAMPLE_RATE * p.delay * k / N_FFT)
+                      for k in subcarriers], dtype=complex)
+        h += w[:, None, None] * outer
     return ch.gain_scale * h
 
 

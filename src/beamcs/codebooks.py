@@ -29,7 +29,7 @@ Kinds:
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,11 +139,22 @@ class Codebook:
     def n_cols(self) -> int:
         return self.entries.shape[2]
 
-    @property
+    @cached_property
     def columns(self) -> np.ndarray:
         """(n_ant, n_entries * n_cols): the entries side by side, entry-major,
-        i.e. the whole codebook regrouped into one entry."""
-        return _regroup(self.entries, self.n_entries * self.n_cols)[0]
+        i.e. the whole codebook regrouped into one entry. Built on the first
+        read and read-only."""
+        cols = _regroup(self.entries, self.n_entries * self.n_cols)[0]
+        cols.setflags(write=False)
+        return cols
+
+    @cached_property
+    def unit_columns(self) -> np.ndarray:
+        """`columns` scaled to unit norm; built on the first read, read-only."""
+        # C-ordered, so the norms sum over antennas in one fixed order
+        u = self.columns / np.linalg.norm(self.columns, axis=0, keepdims=True)
+        u.setflags(write=False)
+        return u
 
 
 def _regroup(a: np.ndarray, n_cols: int) -> np.ndarray:

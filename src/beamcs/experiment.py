@@ -8,9 +8,11 @@ keeps its codebook across SNR points, and the designed-codebook build
 from (master, 4, n_ant_bs). Results are therefore byte-identical for any
 worker count: channels are shared across SNR points and methods (paired
 comparison), and aggregation sorts by (trial, snr, method) before any
-output is written. The noiseless sweep of each (trial, sweep) is built
-once for all SNR points and every method that reads it; each SNR point
-only adds its noise, and each method reads all its SNR points together.
+output is written. The channel's pilot response is built once per trial
+and read by each of its sweeps. The noiseless sweep of each (trial,
+sweep) is built once for all SNR points and every method that reads it;
+each SNR point only adds its noise, and each method reads all its SNR
+points together.
 
 Every detector is told n_pairs = len(truth), the number of distinct true
 beam pairs of the trial, and reports that many pairs. p_all and p_single
@@ -42,7 +44,7 @@ from .codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
                         multi_beam_dft_codebook, random_codebook)
 from .detect import beam_index_errors, cs_detect, exhaustive_search, true_pairs
 from .metrics import TrialRecord, all_beam_match, detection_probability, single_beam_match
-from .sweep import acquire, build_sensing_operator, pilots, sweep_signal
+from .sweep import acquire, build_sensing_operator, pilot_response, pilots, sweep_signal
 
 # each method is a detector that reads one sweep, named by its tx codebook
 # kind; ES is the only detector that is not OMP
@@ -220,6 +222,7 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
     ch = sample_channel(cfg.channel_params, assets["bs"], assets["ue"], ch_rng)
     truth = true_pairs(ch, cfg.n_tx_beams, cfg.n_rx_beams)
     n_pairs = len(truth)
+    h = pilot_response(ch, cfg.n_pilots)
     records = []
     for kind in dict.fromkeys(map(_SWEEP_KIND.get, cfg.methods)):
         if kind == KIND_RANDOM:
@@ -231,7 +234,7 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
             op = build_sensing_operator(tx_cb, rx_cb, assets["tx_grid"], assets["rx_grid"])
         else:
             (tx_cb, op), rx_cb = assets["sweeps"][kind], assets["rx_dft"]
-        signal = sweep_signal(ch, tx_cb, rx_cb, cfg.n_pilots)
+        signal = sweep_signal(h, tx_cb, rx_cb)
         for method in (m for m in cfg.methods if _SWEEP_KIND[m] == kind):
             # one measurement per SNR point, drawn as the detector reads it
             ys = (acquire(signal, rx_cb, _noise_var(snr), np.random.default_rng(

@@ -11,12 +11,15 @@ measurement is the C-ordered array
 so its flat form, which the sensing operator maps to, is pilot-major,
 then tx entry, then rx entry, then chain.
 
-A sweep is a noiseless signal (`sweep_signal`: free of noise_var, so one
-serves every SNR point of a channel) plus combined noise (`acquire`, given
-noise_var). Noise is drawn per receive antenna and passed through the
-combiner, so its covariance is noise_var * W^H W by construction, never
-assumed white. The combine is one BLAS matrix product per rx entry j,
-W_j^H applied to the noise of every (pilot, tx entry) at once.
+A sweep is a noiseless signal plus combined noise. The channel's response
+at the pilots (`pilot_response`) is built once per channel and read by
+every sweep of it. `sweep_signal` applies one sweep's beams to that
+response; it is free of noise_var, so one serves every SNR point of a
+channel. `acquire` adds the combined noise of one noise_var. Noise is
+drawn per receive antenna and passed through the combiner, so its
+covariance is noise_var * W^H W by construction, never assumed white.
+The combine is one BLAS matrix product per rx entry j, W_j^H applied to
+the noise of every (pilot, tx entry) at once.
 
 The sensing operator maps a vectorized grid-domain channel h (tx bin
 major: g = g_tx * n_rx_bins + g_rx) to one pilot's noiseless measurements.
@@ -48,20 +51,25 @@ def transmit_vectors(tx_cb: Codebook) -> np.ndarray:
     """Unit-norm transmit vector per entry of a single-column codebook."""
     if tx_cb.n_cols != 1:
         raise ValueError("a transmit codebook has one column per entry, not %d" % tx_cb.n_cols)
-    # C-ordered, so the norms below sum over antennas in one fixed order
-    x = tx_cb.columns
-    return x / np.linalg.norm(x, axis=0, keepdims=True)
+    return tx_cb.unit_columns
 
 
-def sweep_signal(ch: ChannelRealization, tx_cb: Codebook, rx_cb: Codebook,
-                 n_pilots: int) -> np.ndarray:
-    """Noiseless sweep over one channel: (pilot, tx entry, rx entry, chain)."""
-    if tx_cb.n_ant != ch.tx_geometry.n_ant or rx_cb.n_ant != ch.rx_geometry.n_ant:
+def pilot_response(ch: ChannelRealization, n_pilots: int) -> np.ndarray:
+    """(pilot, n_rx, n_tx) response of the channel at the pilot block; one
+    serves every sweep of the channel."""
+    return freq_channel(ch, pilots(n_pilots))
+
+
+def sweep_signal(h: np.ndarray, tx_cb: Codebook, rx_cb: Codebook) -> np.ndarray:
+    """Noiseless sweep over a pilot response h from `pilot_response`:
+    (pilot, tx entry, rx entry, chain)."""
+    n_pilots, n_rx_ant, n_tx_ant = h.shape
+    if tx_cb.n_ant != n_tx_ant or rx_cb.n_ant != n_rx_ant:
         raise ValueError("codebook antenna counts do not match the channel")
     w_h = rx_cb.columns.conj().T
     x = transmit_vectors(tx_cb)
-    h = freq_channel(ch, pilots(n_pilots))
-    sig = w_h @ h @ x
+    # every pilot's combined rows against x in one product
+    sig = (w_h @ h).reshape(-1, n_tx_ant) @ x
     return sig.reshape(n_pilots, rx_cb.n_entries, rx_cb.n_cols,
                        tx_cb.n_entries).transpose(0, 3, 1, 2)
 
@@ -106,6 +114,8 @@ class SensingOperator:
     (`gram_factors`), never as one n_bins-long row.
 
     `cs_detect` fits only alias-free operators to pilot means (`aliased`).
+    The factors' column norms and conjugates are formed on first use and
+    kept read-only, as the factors never change.
     """
 
     tx_factor: np.ndarray  # (n_tx_entries, n_tx_bins)
@@ -118,6 +128,16 @@ class SensingOperator:
         and 256 antennas. Worked out on the first read, by the first
         `cs_detect` on this operator, so building an operator forms no Gram."""
         return any(parallel_columns(f).any() for f in (self.tx_factor, self.rx_factor))
+
+    @cached_property
+    def _factor_norms(self) -> tuple:
+        return _read_only(np.linalg.norm(self.tx_factor, axis=0),
+                          np.linalg.norm(self.rx_factor, axis=0))
+
+    @cached_property
+    def _conj_factors(self) -> tuple:
+        # in the factors' own layout, so the adjoint's BLAS calls stay the same
+        return _read_only(self.tx_factor.conj(), self.rx_factor.conj())
 
     @property
     def n_tx_bins(self) -> int:
@@ -139,7 +159,8 @@ class SensingOperator:
         """
         n_tx, n_rx = self.tx_factor.shape[0], self.rx_factor.shape[0]
         lead = np.shape(r)[:-1]
-        g = self.tx_factor.conj().T @ (np.reshape(r, lead + (n_tx, n_rx)) @ self.rx_factor.conj())
+        tx_conj, rx_conj = self._conj_factors
+        g = tx_conj.T @ (np.reshape(r, lead + (n_tx, n_rx)) @ rx_conj)
         return g.reshape(lead + (self.shape[1],))
 
     def columns(self, support) -> np.ndarray:
@@ -161,9 +182,14 @@ class SensingOperator:
 
     def col_norms(self, n_pilots: int) -> np.ndarray:
         """Column norms of the block repeated over n_pilots pilots."""
-        tn = np.linalg.norm(self.tx_factor, axis=0)
-        rn = np.linalg.norm(self.rx_factor, axis=0)
+        tn, rn = self._factor_norms
         return np.repeat(np.sqrt(n_pilots) * tn, self.n_rx_bins) * np.tile(rn, self.n_tx_bins)
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def parallel_columns(factor: np.ndarray) -> np.ndarray:

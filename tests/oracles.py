@@ -4,6 +4,7 @@ against. None of them runs in a sweep."""
 import numpy as np
 from scipy import integrate, stats
 
+from beamcs.arrays import steering_vector
 from beamcs.channel import N_FFT, SAMPLE_RATE
 from beamcs.codebooks import _phasor_table, _quantize_indices
 from beamcs.sweep import SensingOperator
@@ -18,6 +19,22 @@ class DenseOperator(SensingOperator):
 
     def __init__(self, a: np.ndarray):
         super().__init__(np.asarray(a), np.ones((1, 1)))
+
+
+def freq_channel_loop(ch, subcarriers) -> np.ndarray:
+    """freq_channel as a loop over paths and, per path, over subcarriers:
+    the path's steering outer product scaled by its gain and delay phase
+    at one subcarrier at a time."""
+    subcarriers = [int(k) for k in subcarriers]
+    h = np.zeros((len(subcarriers), ch.rx_geometry.n_ant, ch.tx_geometry.n_ant),
+                 dtype=complex)
+    for p in ch.paths:
+        outer = np.outer(steering_vector(ch.rx_geometry, p.aoa),
+                         steering_vector(ch.tx_geometry, p.aod).conj())
+        for ki, k in enumerate(subcarriers):
+            phase = np.exp(-2j * np.pi * SAMPLE_RATE * p.delay * k / N_FFT)
+            h[ki] += p.gain * phase * outer
+    return ch.gain_scale * h
 
 
 def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:

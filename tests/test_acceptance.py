@@ -21,7 +21,7 @@ from beamcs.detect import BeamPair, cs_detect, exhaustive_search, omp, true_pair
 from beamcs import experiment
 from beamcs.experiment import (ExperimentConfig, _TAG_CHANNEL, _TAG_DESIGN, _seed,
                                emit_csv, run_experiment)
-from beamcs.sweep import acquire, build_sensing_operator, pilots, sweep_signal
+from beamcs.sweep import acquire, build_sensing_operator, pilot_response, pilots, sweep_signal
 from oracles import (DenseOperator, apply, es_detection_probability, omp_detection_probability,
                      pilot_mean_coherence, to_dense)
 
@@ -302,8 +302,8 @@ def test_criterion_6d_combined_noise_covariance():
     rng = np.random.default_rng(64)
     draws = np.empty((10_000, 8), dtype=complex)
     for i in range(draws.shape[0]):
-        draws[i] = acquire(sweep_signal(silent, tx_cb, rx_cb, 1), rx_cb, noise_var,
-                           rng).reshape(-1)
+        draws[i] = acquire(sweep_signal(pilot_response(silent, 1), tx_cb, rx_cb), rx_cb,
+                           noise_var, rng).reshape(-1)
     got = draws.conj().T @ draws / draws.shape[0]
     rel = np.linalg.norm(got - want.T) / np.linalg.norm(want)
     print("criterion 6d: covariance relative Frobenius error %.3f over 10^4 draws "
@@ -328,7 +328,8 @@ def test_criterion_7_noiseless_on_grid_end_to_end():
                                 ArrayGeometry(8))
         truth = true_pairs(ch, 64, 8)
         assert truth == {BeamPair(bt, br)}
-        y = acquire(sweep_signal(ch, tx_cb, rx_cb, 10), rx_cb, 0.0, np.random.default_rng(t))
+        y = acquire(sweep_signal(pilot_response(ch, 10), tx_cb, rx_cb), rx_cb, 0.0,
+                    np.random.default_rng(t))
         hits_cs += set(cs_detect(op, [y], 1, 64, 8, 1)[0].estimated) == truth
         hits_es += set(exhaustive_search(y, 1).estimated) == truth
     print("criterion 7: noiseless on-grid p_all OMP-DFT %d/100, ES %d/100 (need 100)"
@@ -374,7 +375,7 @@ def test_criterion_9_detection_probability_matches_theory():
     for delay in (0.0, 200e-9):
         path = PathComponent(1.0 + 0.0j, delay, math.asin(beam_sin_values(64)[5]),
                              math.asin(beam_sin_values(8)[3]), 0, 0)
-        signal = sweep_signal(replace(one_path, paths=[path]), tx_cb, rx_cb, 10)
+        signal = sweep_signal(pilot_response(replace(one_path, paths=[path]), 10), tx_cb, rx_cb)
         c = pilot_mean_coherence(delay, pilots(10))
         for snr in (-30.0, -28.0, -26.0):
             noise_var = 10.0 ** (-snr / 10.0)

@@ -9,6 +9,7 @@ import pytest
 
 import beamcs.detect
 import beamcs.experiment
+import beamcs.sweep
 from beamcs import codebooks
 from beamcs.experiment import (METHODS, ExperimentConfig, _build_assets, _parse_snr_range,
                                emit_csv, main, parse_config_file, run_experiment)
@@ -201,7 +202,7 @@ def test_only_the_multi_beam_workload_operator_is_aliased():
                                     codebooks.random_codebook(8, 2, 4, 6, rng), default["tx_grid"],
                                     default["rx_grid"])
         assert not op.aliased
-        # both factors are skipped by the alias test; check that the skip holds
+        # the alias test reads both factors, and neither has parallel columns
         assert not parallel_columns(op.tx_factor).any()
         assert not parallel_columns(op.rx_factor).any()
     scale = _build_assets(ExperimentConfig(n_ant_bs=128, methods=("OMP-MultiBeam", "OMP-Designed"),
@@ -387,6 +388,18 @@ def test_one_sweep_signal_per_trial_and_sweep():
                            wraps=beamcs.experiment.sweep_signal) as spy:
         run_experiment(ExperimentConfig(**TINY))
     assert spy.call_count == 2 * TINY["n_trials"]
+
+
+def test_one_pilot_response_per_trial():
+    # every sweep of a trial reads the one response; 128 antennas alias the
+    # multi-beam operator, so both of cs_detect's fits run too
+    scale = dict(n_ant_bs=128, methods=("OMP-MultiBeam", "OMP-Designed"), snr_db=(20.0,),
+                 n_trials=2, designed_sweeps=1)
+    for fields in (TINY, scale):
+        with mock.patch.object(beamcs.sweep, "freq_channel",
+                               wraps=beamcs.sweep.freq_channel) as spy:
+            run_experiment(ExperimentConfig(**fields))
+        assert spy.call_count == fields["n_trials"]
 
 
 def test_run_experiment_starts_at_most_one_worker_per_trial(tiny_run):

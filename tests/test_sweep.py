@@ -10,9 +10,10 @@ from beamcs.channel import (N_FFT, SAMPLE_RATE, ChannelRealization, PathComponen
                             sample_channel, ChannelParams, freq_channel)
 from beamcs.codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
                               multi_beam_dft_codebook, random_codebook)
-from beamcs.sweep import (acquire, build_sensing_operator, parallel_columns, pilots,
-                          sweep_signal, transmit_vectors)
-from oracles import apply, combine_noise, to_dense
+from beamcs.sweep import (acquire, build_sensing_operator, parallel_columns, pilot_response,
+                          pilots, sweep_signal, transmit_vectors)
+from beamcs.detect import omp
+from oracles import apply, combine_noise, freq_channel_loop, to_dense
 
 
 def raw_codebook(entries):
@@ -43,11 +44,12 @@ def test_measurement_vector_length_and_energy_layout():
     ch = sample_channel(ChannelParams(), bs, ue, np.random.default_rng(1))
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    y = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.1, np.random.default_rng(2))
+    y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.1, np.random.default_rng(2))
     assert y.shape == (10, 64, 2, 4)  # pilot, tx entry, rx entry, chain
     assert y.flags.c_contiguous
     # flat order: pilot-major, then block m = i*n_rx_entries + j, then chain
-    quiet = acquire(sweep_signal(ch, tx, rx, 10), rx, 0.0, np.random.default_rng(2))
+    quiet = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.0,
+                    np.random.default_rng(2))
     x = transmit_vectors(tx)
     w = np.concatenate([rx.entries[j] for j in range(2)], axis=1)
     h = freq_channel(ch, pilots(10))
@@ -65,7 +67,7 @@ def default_sweep_inputs():
 
 def test_acquire_without_noise_returns_the_signal():
     ch, tx, rx = default_sweep_inputs()
-    signal = sweep_signal(ch, tx, rx, 10)
+    signal = sweep_signal(pilot_response(ch, 10), tx, rx)
     y = acquire(signal, rx, 0.0, np.random.default_rng(3))
     assert np.array_equal(y, signal)
 
@@ -91,7 +93,7 @@ def test_acquire_combines_the_noise_per_rx_entry(rx):
 
 def test_acquire_rejects_mismatched_signal_and_combiner():
     ch, tx, rx = default_sweep_inputs()
-    signal = sweep_signal(ch, tx, rx, 10)
+    signal = sweep_signal(pilot_response(ch, 10), tx, rx)
     with pytest.raises(ValueError, match="rx codebook shape"):
         acquire(signal, group_columns(dft_codebook(8, 8, 6), 2), 0.1,
                 np.random.default_rng(0))
@@ -99,7 +101,7 @@ def test_acquire_rejects_mismatched_signal_and_combiner():
 
 def test_acquire_rejects_bad_noise_var():
     ch, tx, rx = default_sweep_inputs()
-    signal = sweep_signal(ch, tx, rx, 10)
+    signal = sweep_signal(pilot_response(ch, 10), tx, rx)
     for noise_var in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="noise_var must be non-negative and finite"):
             acquire(signal, rx, noise_var, np.random.default_rng(0))
@@ -111,7 +113,7 @@ def test_noiseless_aligned_measurement_closed_form():
     ch = ChannelRealization([path], gain_scale=np.sqrt(32 * 8), tx_geometry=bs, rx_geometry=ue)
     tx = raw_codebook(steering_vector(bs, path.aod)[None, :, None])
     rx = raw_codebook(steering_vector(ue, path.aoa)[None, :, None])
-    y = acquire(sweep_signal(ch, tx, rx, 4), rx, 0.0, np.random.default_rng(0))
+    y = acquire(sweep_signal(pilot_response(ch, 4), tx, rx), rx, 0.0, np.random.default_rng(0))
     # perfectly matched beams collapse to scale * gain per pilot
     want_mag = ch.gain_scale * abs(path.gain)
     assert_allclose(np.abs(y.reshape(-1)), np.full(4, want_mag), rtol=1e-12)
@@ -132,7 +134,7 @@ def test_combined_noise_covariance_is_shaped_by_combiner():
     noise_var = 0.37
     draws = []
     for rep in range(10):
-        y = acquire(sweep_signal(ch, tx, rx, 2), rx, noise_var,
+        y = acquire(sweep_signal(pilot_response(ch, 2), tx, rx), rx, noise_var,
                     np.random.default_rng(100 + rep))
         y = y.reshape(2, 200, 4)                 # pilot, block, chain
         draws.append(y.transpose(1, 0, 2).reshape(200, 8))
@@ -308,7 +310,7 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     rng = np.random.default_rng(3)
     tx = random_codebook(16, 12, 1, 6, rng)
     rx = random_codebook(8, 2, 3, 6, rng)
-    y = acquire(sweep_signal(ch, tx, rx, 4), rx, 0.0, np.random.default_rng(0))
+    y = acquire(sweep_signal(pilot_response(ch, 4), tx, rx), rx, 0.0, np.random.default_rng(0))
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid)
     h = np.zeros(op.shape[1], dtype=complex)
     for g, (bt, br) in zip(gains, bins):
@@ -352,3 +354,46 @@ def test_aliased_is_worked_out_on_the_first_read_only():
         assert spy.call_count == 0
         assert not op.aliased and not op.aliased
         assert spy.call_count == 2  # the two factors, once
+
+
+def test_broadcast_response_and_one_product_sweep_match_their_loops():
+    # 8/64/128/256 tx antennas x flat and 200 ns channels x 1/10/127 pilots,
+    # 38 channels each: 912 responses equal to the per-subcarrier loop, and
+    # the sweep's one product equal to the per-pilot products w_h @ h @ x
+    ue, rng = ArrayGeometry(8), np.random.default_rng(30)
+    rxs = [group_columns(dft_codebook(8, 8, 6), 4), random_codebook(8, 2, 4, 6, rng)]
+    for n_ant in (8, 64, 128, 256):
+        bs, n_entries = ArrayGeometry(n_ant), min(n_ant, 64)
+        txs = [dft_codebook(n_ant, n_entries, 6), multi_beam_dft_codebook(n_ant, n_entries, 6),
+               random_codebook(n_ant, n_entries, 1, 6, rng)]
+        for delay_max in (0.0, 200e-9):
+            for n_pilots in (1, 10, 127):
+                for i in range(38):
+                    ch = sample_channel(ChannelParams(delay_max=delay_max), bs, ue, rng)
+                    h = pilot_response(ch, n_pilots)
+                    assert h.tobytes() == freq_channel_loop(ch, pilots(n_pilots)).tobytes()
+                    tx, rx = txs[i % 3], rxs[i % 2]
+                    want = (rx.columns.conj().T @ h @ transmit_vectors(tx)).reshape(
+                        n_pilots, rx.n_entries, rx.n_cols, tx.n_entries).transpose(0, 3, 1, 2)
+                    got = sweep_signal(h, tx, rx)
+                    assert np.ascontiguousarray(got).tobytes() == \
+                        np.ascontiguousarray(want).tobytes()
+
+
+def test_codebook_and_operator_constants_are_formed_once_and_read_only():
+    ch, tx, rx = default_sweep_inputs()
+    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(64), 3),
+                                build_grid(ArrayGeometry(8), 3))
+    y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.1,
+                np.random.default_rng(5)).mean(axis=0).reshape(-1)
+    with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+        first = omp(op, y, 6)
+        assert norm.call_count == 2  # one per factor
+        second = omp(op, y, 6)
+        assert norm.call_count == 2
+    assert second.support == first.support
+    assert second.coefficients.tobytes() == first.coefficients.tobytes()
+    assert tx.columns is tx.columns
+    for a in (tx.columns, tx.unit_columns, rx.columns, *op._factor_norms, *op._conj_factors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
