@@ -1,18 +1,23 @@
 """Monte Carlo detection-probability experiments and their CLI.
 
+Each method is a row of one table: the tx codebook kind of the sweep it
+reads and its detector. validate() keys every rule on a requested row's
+sweep kind or detector, never on a name.
+
 Trials are independent work units. All randomness is counter-seeded from
 the master seed: the channel of trial t from (master, 1, t), the noise of
 each (trial, snr, method) cell from (master, 2, t, snr_key, method_id),
 per-trial random codebooks from (master, 3, t, sweep_id) so one trial
 keeps its codebook across SNR points, and the designed-codebook build
-from (master, 4, n_ant_bs). Results are therefore byte-identical for any
-worker count: channels are shared across SNR points and methods (paired
-comparison), and aggregation sorts by (trial, snr, method) before any
-output is written. The channel's pilot response is built once per trial
-and read by each of its sweeps. The noiseless sweep of each (trial,
-sweep) is built once for all SNR points and every method that reads it;
-each SNR point only adds its noise, and each method reads all its SNR
-points together.
+from (master, 4, n_ant_bs). A method's id is its row's position and a
+sweep's id that of the first row reading it, so rows are only appended.
+Results are byte-identical for any worker count: channels are shared
+across SNR points and methods (paired comparison), and aggregation sorts
+by (trial, snr, method) before any output is written. The channel's
+pilot response is built once per trial and read by each of its sweeps.
+The noiseless sweep of each (trial, sweep) is built once for all SNR
+points and every method that reads it; each SNR point only adds its
+noise, and each method reads all its SNR points together.
 
 Every detector is told n_pairs = len(truth), the number of distinct true
 beam pairs of the trial, and reports that many pairs. p_all and p_single
@@ -28,7 +33,7 @@ import os
 import sys
 import typing
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -46,14 +51,36 @@ from .detect import beam_index_errors, cs_detect, exhaustive_search, true_pairs
 from .metrics import TrialRecord, all_beam_match, detection_probability, single_beam_match
 from .sweep import acquire, build_sensing_operator, pilot_response, pilots, sweep_signal
 
-# each method is a detector that reads one sweep, named by its tx codebook
-# kind; ES is the only detector that is not OMP
-_SWEEP_KIND = {"ES": KIND_DFT, "OMP-Random": KIND_RANDOM, "OMP-DFT": KIND_DFT,
-               "OMP-MultiBeam": KIND_MULTI_BEAM, "OMP-Designed": KIND_DESIGNED}
-METHODS = tuple(_SWEEP_KIND)
-_METHOD_ID = {name: i for i, name in enumerate(METHODS)}
-# a sweep's id, which seeds its random codebooks, is that of the first method reading it
-_SWEEP_ID = {kind: list(_SWEEP_KIND.values()).index(kind) for kind in _SWEEP_KIND.values()}
+
+def _exhaustive(op, ys, cfg, n_pairs) -> list:
+    return [exhaustive_search(y, n_pairs) for y in ys]
+
+
+def _compressed(op, ys, cfg, n_pairs) -> list:
+    return cs_detect(op, ys, cfg.effective_sparsity, cfg.n_tx_beams, cfg.n_rx_beams, n_pairs)
+
+
+class _Method(typing.NamedTuple):
+    sweep: str  # the tx codebook kind of the sweep it reads
+    detect: Callable  # (op, ys, cfg, n_pairs) -> one DetectionOutcome per y of ys
+
+
+# append only: the ids that seed noise and codebooks are row positions
+_METHODS = {"ES": _Method(KIND_DFT, _exhaustive),
+            "OMP-Random": _Method(KIND_RANDOM, _compressed),
+            "OMP-DFT": _Method(KIND_DFT, _compressed),
+            "OMP-MultiBeam": _Method(KIND_MULTI_BEAM, _compressed),
+            "OMP-Designed": _Method(KIND_DESIGNED, _compressed)}
+METHODS = tuple(_METHODS)
+
+
+def _method_id(method: str) -> int:
+    return list(_METHODS).index(method)
+
+
+def _sweep_id(kind: str) -> int:
+    return [row.sweep for row in _METHODS.values()].index(kind)
+
 
 _TAG_CHANNEL, _TAG_NOISE, _TAG_CODEBOOK, _TAG_DESIGN = 1, 2, 3, 4
 # OMP's angle grids oversample both arrays this many times
@@ -116,8 +143,8 @@ class ExperimentConfig:
                     or not all(isinstance(v, admits) and not isinstance(v, bool) for v in items)):
                 raise ValueError("%s must be %s" % (f.name, what))
         for m in self.methods:
-            if m not in METHODS:
-                raise ValueError("unknown method %r (choose from %s)" % (m, ", ".join(METHODS)))
+            if m not in _METHODS:
+                raise ValueError("unknown method %r (choose from %s)" % (m, ", ".join(_METHODS)))
         if not self.methods:
             raise ValueError("methods must not be empty")
         if len(set(self.methods)) != len(self.methods):
@@ -134,27 +161,29 @@ class ExperimentConfig:
                                  % (self.phase_bits, name, getattr(self, name))) from None
         pilots(self.n_pilots)  # checks the pilot count
         self.channel_params  # its constructor checks delay_max
-        multi_beam = [m for m in self.methods
-                      if _SWEEP_KIND[m] in (KIND_MULTI_BEAM, KIND_DESIGNED)]
+
+        def first(declares):  # the first requested method whose row declares it, or None
+            return next((m for m in self.methods if declares(_METHODS[m])), None)
+        multi_beam = first(lambda row: row.sweep in (KIND_MULTI_BEAM, KIND_DESIGNED))
         if multi_beam and self.n_ant_bs % self.n_tx_entries:
-            raise ValueError("%s requires n_ant_bs to be a multiple of n_tx_entries"
-                             % multi_beam[0])
+            raise ValueError("%s requires n_ant_bs to be a multiple of n_tx_entries" % multi_beam)
         if self.n_rx_beams > self.n_ant_ue:
             raise ValueError("n_rx_entries * n_rf_ue must not exceed n_ant_ue")
-        if KIND_DFT in map(_SWEEP_KIND.get, self.methods) and self.n_tx_entries > self.n_ant_bs:
-            raise ValueError("%s use a DFT tx codebook: n_tx_entries ≤ n_ant_bs"
-                             % " and ".join(m for m in METHODS if _SWEEP_KIND[m] == KIND_DFT))
-        if "ES" in self.methods and self.n_tx_entries < self.n_tx_beams:
+        dft_tx = first(lambda row: row.sweep == KIND_DFT)
+        if dft_tx and self.n_tx_entries > self.n_ant_bs:
+            raise ValueError("%s uses a DFT tx codebook: n_tx_entries ≤ n_ant_bs" % dft_tx)
+        if first(lambda row: row.detect is _exhaustive) and self.n_tx_entries < self.n_tx_beams:
             raise ValueError("exhaustive search requires one sweep entry per transmit beam: "
                              "n_tx_entries ≥ n_ant_bs")
-        dft_rx = [m for m in self.methods if _SWEEP_KIND[m] != KIND_RANDOM]
+        dft_rx = first(lambda row: row.sweep != KIND_RANDOM)
         if dft_rx and self.n_rx_beams != self.n_ant_ue:  # else DFT beams miss the scored ones
             raise ValueError("%s combines with DFT beams, which requires n_rx_entries * n_rf_ue "
-                             "= n_ant_ue" % dft_rx[0])
+                             "= n_ant_ue" % dft_rx)
         # after the rule above, only a random combiner can have n_rx_beams != n_ant_ue
-        if "OMP-Random" in self.methods and (_GRID_MULT * self.n_ant_ue) % self.n_rx_beams:
-            raise ValueError("OMP-Random requires %d * n_ant_ue to be a multiple of "
-                             "n_rx_entries * n_rf_ue" % _GRID_MULT)
+        compressed = first(lambda row: row.detect is _compressed)
+        if compressed and (_GRID_MULT * self.n_ant_ue) % self.n_rx_beams:
+            raise ValueError("%s requires %d * n_ant_ue to be a multiple of "
+                             "n_rx_entries * n_rf_ue" % (compressed, _GRID_MULT))
         if self.designed_sweeps < 0:
             raise ValueError("designed_sweeps must be non-negative")
         if not self.snr_db:
@@ -162,7 +191,7 @@ class ExperimentConfig:
         # _snr_key rounds 1000 * float(s) to an integer, so that must be finite too
         if not all(math.isfinite(float(s) * 1000.0) for s in self.snr_db):
             raise ValueError("snr_db points must be finite, also in 0.001 dB units")
-        # below this the pilot-summed ES energy, about noise_var * n_pilots,
+        # below this the pilot-summed exhaustive-search energy, about noise_var * n_pilots,
         # comes within _ENERGY_HEADROOM of the float range
         floor = -10.0 * math.log10(sys.float_info.max / (self.n_pilots * _ENERGY_HEADROOM))
         for s in self.snr_db:
@@ -200,7 +229,7 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
     rx_grid = build_grid(ue, _GRID_MULT)
     assets = {"bs": bs, "ue": ue, "tx_grid": tx_grid, "rx_grid": rx_grid, "sweeps": {}}
     # random sweeps draw both codebooks per trial; every other sweep combines with DFT beams
-    static = [k for k in dict.fromkeys(map(_SWEEP_KIND.get, cfg.methods)) if k != KIND_RANDOM]
+    static = [k for k in dict.fromkeys(_METHODS[m].sweep for m in cfg.methods) if k != KIND_RANDOM]
     if static:
         rx_dft = assets["rx_dft"] = group_columns(
             dft_codebook(cfg.n_ant_ue, cfg.n_rx_beams, cfg.phase_bits), cfg.n_rf_ue)
@@ -224,10 +253,10 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
     n_pairs = len(truth)
     h = pilot_response(ch, cfg.n_pilots)
     records = []
-    for kind in dict.fromkeys(map(_SWEEP_KIND.get, cfg.methods)):
+    for kind in dict.fromkeys(_METHODS[m].sweep for m in cfg.methods):
         if kind == KIND_RANDOM:
             cb_rng = np.random.default_rng(_seed(cfg.master_seed, _TAG_CODEBOOK, t,
-                                                 _SWEEP_ID[kind]))
+                                                 _sweep_id(kind)))
             tx_cb = random_codebook(cfg.n_ant_bs, cfg.n_tx_entries, 1, cfg.phase_bits, cb_rng)
             rx_cb = random_codebook(cfg.n_ant_ue, cfg.n_rx_entries, cfg.n_rf_ue,
                                     cfg.phase_bits, cb_rng)
@@ -235,15 +264,12 @@ def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
         else:
             (tx_cb, op), rx_cb = assets["sweeps"][kind], assets["rx_dft"]
         signal = sweep_signal(h, tx_cb, rx_cb)
-        for method in (m for m in cfg.methods if _SWEEP_KIND[m] == kind):
+        for method in (m for m in cfg.methods if _METHODS[m].sweep == kind):
             # one measurement per SNR point, drawn as the detector reads it
             ys = (acquire(signal, rx_cb, _noise_var(snr), np.random.default_rng(
-                      _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), _METHOD_ID[method])))
+                      _seed(cfg.master_seed, _TAG_NOISE, t, _snr_key(snr), _method_id(method))))
                   for snr in cfg.snr_db)
-            outcomes = ([exhaustive_search(y, n_pairs) for y in ys] if method == "ES" else
-                        cs_detect(op, ys, cfg.effective_sparsity,
-                                  cfg.n_tx_beams, cfg.n_rx_beams, n_pairs))
-            for snr, out in zip(cfg.snr_db, outcomes):
+            for snr, out in zip(cfg.snr_db, _METHODS[method].detect(op, ys, cfg, n_pairs)):
                 tx_err, rx_err = beam_index_errors(out.estimated, truth,
                                                    cfg.n_tx_beams, cfg.n_rx_beams)
                 records.append(TrialRecord(t, float(snr), method,
@@ -279,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig):
                                  initargs=(cfg, assets)) as pool:
             per_trial = list(pool.map(_worker_task, range(cfg.n_trials), chunksize=chunk))
     records = [r for chunk_records in per_trial for r in chunk_records]
-    records.sort(key=lambda r: (r.trial, r.snr_db, _METHOD_ID[r.method]))
+    records.sort(key=lambda r: (r.trial, r.snr_db, _method_id(r.method)))
     return records, detection_probability(records)
 
 
@@ -294,7 +320,7 @@ def emit_csv(records, stats, out_dir) -> tuple:
     summary = out / "summary.csv"
     errors = out / "errors.csv"
 
-    keys = sorted(stats, key=lambda k: (k[0], _METHOD_ID[k[1]]))
+    keys = sorted(stats, key=lambda k: (k[0], _method_id(k[1])))
     with open(summary, "w", encoding="utf-8", newline="\n") as f:
         f.write("snr_db,method,n_trials,p_all,p_all_se,p_single,p_single_se\n")
         for snr, method in keys:
@@ -309,7 +335,7 @@ def emit_csv(records, stats, out_dir) -> tuple:
             hists.setdefault((r.snr_db, r.method, side), Counter()).update(errs)
     with open(errors, "w", encoding="utf-8", newline="\n") as f:
         f.write("snr_db,method,side,error,count\n")
-        for snr, method, side in sorted(hists, key=lambda k: (k[0], _METHOD_ID[k[1]], k[2])):
+        for snr, method, side in sorted(hists, key=lambda k: (k[0], _method_id(k[1]), k[2])):
             counter = hists[(snr, method, side)]
             for err in sorted(counter):
                 f.write("%s,%s,%s,%d,%d\n" % (repr(float(snr)), method, side,

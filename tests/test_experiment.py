@@ -11,8 +11,9 @@ import beamcs.detect
 import beamcs.experiment
 import beamcs.sweep
 from beamcs import codebooks
-from beamcs.experiment import (METHODS, ExperimentConfig, _build_assets, _parse_snr_range,
-                               emit_csv, main, parse_config_file, run_experiment)
+from beamcs.experiment import (METHODS, ExperimentConfig, _build_assets, _method_id,
+                               _parse_snr_range, _sweep_id, emit_csv, main, parse_config_file,
+                               run_experiment)
 from beamcs.sweep import build_sensing_operator, parallel_columns
 
 # small but complete: every method family, two SNR points, real channels
@@ -52,9 +53,10 @@ def test_validate_rejects_bad_configs():
     with pytest.raises(ValueError, match="must not exceed n_ant_ue"):
         ExperimentConfig(n_rx_entries=3).validate()
     # these built every asset and failed in dft_codebook or in trial 0's
-    # cs_detect, with errors that named no field
+    # cs_detect, with errors that named no field; later the error named both
+    # ES and OMP-DFT, whichever of them was asked for
     for method in ("ES", "OMP-DFT"):
-        with pytest.raises(ValueError, match="n_tx_entries ≤ n_ant_bs"):
+        with pytest.raises(ValueError, match="^%s .*n_tx_entries ≤ n_ant_bs" % method):
             ExperimentConfig(n_tx_entries=128, methods=(method,)).validate()
     # 5 receive beams do not divide the 3 * 8 receive bins, but a DFT combiner
     # breaks the combiner rule first, so only OMP-Random meets the grid rule
@@ -246,6 +248,52 @@ def test_omp_never_picks_a_numerically_empty_column(monkeypatch):
     run_experiment(cfg)
     assert len(picked) == 2 * cfg.n_trials
     assert min(map(min, picked)) > 1e-9
+
+
+def test_method_table_order_is_pinned():
+    # a row's position seeds its noise, and a sweep's the random codebooks of
+    # its trials, so rows are only ever appended
+    assert METHODS == ("ES", "OMP-Random", "OMP-DFT", "OMP-MultiBeam", "OMP-Designed")
+    assert ExperimentConfig().methods == METHODS[:3]
+    assert [_method_id(m) for m in METHODS] == [0, 1, 2, 3, 4]
+    assert [_sweep_id(kind) for kind in (codebooks.KIND_DFT, codebooks.KIND_RANDOM,
+                                         codebooks.KIND_MULTI_BEAM,
+                                         codebooks.KIND_DESIGNED)] == [0, 1, 3, 4]
+
+
+def test_an_appended_row_runs_and_is_validated_by_what_it_declares(monkeypatch, tmp_path):
+    # the exhaustive detector on the DFT sweep again, under a new name: adding
+    # the row is the only edit
+    toy = "ES-Again"
+    monkeypatch.setitem(beamcs.experiment._METHODS, toy, beamcs.experiment._Method(
+        codebooks.KIND_DFT, beamcs.experiment._exhaustive))
+    noise_ids, seeded = set(), beamcs.experiment._seed
+
+    def seed(master, *parts):
+        if parts[0] == 2:  # the noise tag; the method id comes last
+            noise_ids.add(parts[-1])
+        return seeded(master, *parts)
+
+    monkeypatch.setattr(beamcs.experiment, "_seed", seed)
+    cfg = ExperimentConfig(**dict(TINY, methods=("ES", toy), n_trials=2))
+    records, stats = run_experiment(cfg)
+    assert noise_ids == {0, 5}
+    assert [r.method for r in records[:2]] == ["ES", toy]
+    assert {m for _, m in stats} == {"ES", toy}
+    summary, _ = emit_csv(records, stats, tmp_path)
+    assert summary.read_text(encoding="utf-8").splitlines()[2].split(",")[1] == toy
+    # rejected exactly where ES is, with ES's error under its own name
+    for fields in (dict(), dict(n_ant_bs=128), dict(n_tx_entries=128),
+                   dict(n_rx_entries=5, n_rf_ue=1)):
+        errors = []
+        for method in ("ES", toy):
+            try:
+                ExperimentConfig(methods=(method,), **fields).validate()
+                errors.append(None)
+            except ValueError as exc:
+                errors.append(str(exc).replace(method, "<method>"))
+        assert errors[0] == errors[1], fields
+        assert (errors[0] is None) == (fields == {}), fields
 
 
 def test_exhaustive_search_rejected_beyond_codebook_size():
