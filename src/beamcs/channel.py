@@ -39,6 +39,10 @@ class ChannelParams:
             v = getattr(self, name)
             if not (v >= 0 and math.isfinite(v)):
                 raise ValueError("%s must be non-negative and finite" % name)
+        # a delay acts only as a phase of period N_FFT / SAMPLE_RATE, one OFDM symbol
+        if self.delay_max > N_FFT / SAMPLE_RATE:
+            raise ValueError("delay_max must be at most one OFDM symbol, N_FFT / SAMPLE_RATE "
+                             "= %.6g s" % (N_FFT / SAMPLE_RATE))
 
 
 @dataclass(frozen=True)

@@ -170,23 +170,19 @@ def _from_indices(kind: str, phase_bits: int, idx: np.ndarray) -> Codebook:
     return Codebook(kind, phase_bits, idx, entries)
 
 
-def _ratio_round_half_down(num, den: int):
-    # round(num/den) over exact integers or int arrays, halves toward -inf
-    return -((den - 2 * num) // (2 * den))
-
-
 def dft_codebook(n_ant: int, n_beams: int, phase_bits: int = 6) -> Codebook:
     """Single-column entries pointing at the first n_beams DFT directions.
 
-    Quantized indices are computed in integer arithmetic, so beam phases
-    that the quantizer grid can represent are hit exactly.
+    The float quotient r * levels / n_ant, r = m*n mod n_ant, is exact at
+    every halfway point and 1/(2*n_ant) or more from one elsewhere, so its
+    `_nearest_index` is the exact index and on-grid phases are hit exactly.
     """
     if not 1 <= n_beams <= n_ant:
         raise ValueError("n_beams must lie in [1, n_ant]")
     n = np.arange(n_ant)
     m = np.arange(n_beams)
     levels = 1 << phase_bits
-    idx = _ratio_round_half_down(np.outer(m, n) % n_ant * levels, n_ant) % levels
+    idx = _nearest_index(np.outer(m, n) % n_ant * levels / n_ant, levels)
     return _from_indices(KIND_DFT, phase_bits, idx[:, :, None])
 
 

@@ -66,10 +66,8 @@ def sweep_signal(h: np.ndarray, tx_cb: Codebook, rx_cb: Codebook) -> np.ndarray:
     n_pilots, n_rx_ant, n_tx_ant = h.shape
     if tx_cb.n_ant != n_tx_ant or rx_cb.n_ant != n_rx_ant:
         raise ValueError("codebook antenna counts do not match the channel")
-    w_h = rx_cb.columns.conj().T
-    x = transmit_vectors(tx_cb)
-    # every pilot's combined rows against x in one product
-    sig = (w_h @ h).reshape(-1, n_tx_ant) @ x
+    # (W^H h_k) x for each pilot k: the per-pilot products themselves, on any BLAS kernel
+    sig = rx_cb.columns.conj().T @ h @ transmit_vectors(tx_cb)
     return sig.reshape(n_pilots, rx_cb.n_entries, rx_cb.n_cols,
                        tx_cb.n_entries).transpose(0, 3, 1, 2)
 

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
+from beamcs import codebooks
 from beamcs.arrays import ArrayGeometry, build_grid
 from beamcs.codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
                               Codebook, _phasor_table, designed_codebook, dft_codebook,
@@ -129,6 +130,19 @@ def test_dft_six_bits_is_exact_for_64_antennas():
     n, m = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
     assert np.array_equal(q.phase_indices[:, :, 0], (n * m % 64).T)
     assert np.max(np.abs(q.entries[:, :, 0].T - atoms)) < 1e-14
+
+
+def test_dft_indices_equal_the_exact_integer_rule(monkeypatch):
+    # the oracle: round(r * levels / n_ant) in integers, halves toward the lower
+    # index; a zero phasor table skips the 16-bit tables, as only indices are read
+    monkeypatch.setattr(codebooks, "_phasor_table", lambda bits, n: np.zeros(1 << bits, complex))
+    for phase_bits in (1, 6, 8, 16):
+        levels = 1 << phase_bits
+        for n_ant in range(1, 257):
+            num = np.outer(np.arange(n_ant), np.arange(n_ant)) % n_ant * levels
+            want = -((n_ant - 2 * num) // (2 * n_ant)) % levels
+            got = dft_codebook(n_ant, n_ant, phase_bits).phase_indices[:, :, 0]
+            assert np.array_equal(got, want), (n_ant, phase_bits)
 
 
 def test_dft_rejects_bad_beam_count():

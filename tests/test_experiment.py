@@ -11,6 +11,7 @@ import beamcs.detect
 import beamcs.experiment
 import beamcs.sweep
 from beamcs import codebooks
+from beamcs.channel import N_FFT, SAMPLE_RATE
 from beamcs.experiment import (METHODS, ExperimentConfig, _build_assets, _method_id,
                                _parse_snr_range, _sweep_id, emit_csv, main, parse_config_file,
                                run_experiment)
@@ -85,6 +86,13 @@ def test_validate_rejects_bad_configs():
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match="delay_max must be non-negative and finite"):
             ExperimentConfig(delay_max=value).validate()
+    # past one OFDM symbol the pilot phases only repeat, and at 1e300 the channel was NaN
+    for value in (1e300, 8.34e-6):
+        with pytest.raises(ValueError, match=r"^delay_max must be at most one OFDM symbol, "
+                                             r"N_FFT / SAMPLE_RATE = 8\.33333e-06 s$"):
+            ExperimentConfig(delay_max=value).validate()
+    for value in (N_FFT / SAMPLE_RATE, 200e-9):
+        ExperimentConfig(delay_max=value).validate()
     # these failed in _snr_key with errors that named no field
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="snr_db points must be finite"):
@@ -596,7 +604,9 @@ def test_main_cli_rejects_too_many_pilots_and_removed_keys(tmp_path, capsys):
     p = tmp_path / "run.cfg"
     for text, line in (("n_pilots = 4097\n",
                         "n_pilots must be positive and at most the FFT size 4096"),
-                       ("n_fft = 4096\n", "line 1, key 'n_fft': unknown config key")):
+                       ("n_fft = 4096\n", "line 1, key 'n_fft': unknown config key"),
+                       ("delay_max = 1e300\n", "delay_max must be at most one OFDM symbol, "
+                                               "N_FFT / SAMPLE_RATE = 8.33333e-06 s")):
         p.write_text(text, encoding="utf-8")
         assert main(["--config", str(p), "--trials", "1", "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == "error: %s\n" % line
