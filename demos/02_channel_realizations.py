@@ -13,15 +13,13 @@ import math
 
 import numpy as np
 
-from beamcs import (ArrayGeometry, ChannelParams, factorized_channel, freq_channel,
-                    sample_channel)
+from beamcs import N_FFT, SAMPLE_RATE, ChannelParams, freq_channel, sample_channel, steering_vector
 
 rng = np.random.default_rng(7)
-bs = ArrayGeometry(64)
-ue = ArrayGeometry(8)
+n_bs, n_ue = 64, 8  # antennas at the base station and at the user
 params = ChannelParams()  # 2 clusters x 3 rays, 2 deg ray spread, 200 ns max delay
 
-ch = sample_channel(params, bs, ue, rng)
+ch = sample_channel(params, n_bs, n_ue, rng)
 print("paths:", len(ch.paths), " gain scale: %.3f" % ch.gain_scale)
 print("cluster ray   |gain|   delay(ns)   AoD(deg)   AoA(deg)")
 for p in ch.paths:
@@ -39,10 +37,15 @@ ks = (0, 1024, 2048)
 for k, h in zip(ks, freq_channel(ch, ks)):
     print("subcarrier %4d  ||H||_F = %.3f" % (k, np.linalg.norm(h)))
 
-# the sum over paths and the factored array-response form agree
+# the sum over paths and the factored array-response form A_rx H_d A_tx^H
+# agree: the A factors stack the paths' steering vectors, and the diagonal
+# H_d holds each path's scaled gain times its delay phase at the subcarrier
+a_rx = np.stack([steering_vector(n_ue, p.aoa) for p in ch.paths], axis=1)
+a_tx = np.stack([steering_vector(n_bs, p.aod) for p in ch.paths], axis=1)
 ks = (0, 777, 2048)
 for k, h_sum in zip(ks, freq_channel(ch, ks)):
-    a_rx, h_d, a_tx = factorized_channel(ch, k)
+    h_d = np.diag([ch.gain_scale * p.gain * np.exp(-2j * np.pi * SAMPLE_RATE * p.delay * k / N_FFT)
+                   for p in ch.paths])
     h_fac = a_rx @ h_d @ a_tx.conj().T
     rel = np.linalg.norm(h_sum - h_fac) / np.linalg.norm(h_sum)
     print("subcarrier %4d  relative difference: %.2e" % (k, rel))
@@ -51,7 +54,7 @@ for k, h_sum in zip(ks, freq_channel(ch, ks)):
 # n_tx_antennas * n_rx_antennas
 norms = []
 for _ in range(300):
-    c = sample_channel(params, bs, ue, rng)
+    c = sample_channel(params, n_bs, n_ue, rng)
     norms.append(np.linalg.norm(freq_channel(c, [2048])) ** 2)
 print("mean ||H||_F^2 over 300 draws: %.1f (target %d)"
-      % (np.mean(norms), bs.n_ant * ue.n_ant))
+      % (np.mean(norms), n_bs * n_ue))

@@ -10,8 +10,8 @@ predicts sparse-recovery quality: lower is better.
 
 import numpy as np
 
-from beamcs import (ArrayGeometry, build_grid, designed_codebook, dft_codebook,
-                    multi_beam_dft_codebook, random_codebook, total_coherence)
+from beamcs import (build_grid, designed_codebook, dft_codebook, multi_beam_dft_codebook,
+                    random_codebook, total_coherence)
 
 rng = np.random.default_rng(11)
 
@@ -37,7 +37,7 @@ print("multi-beam codebook:", mb.kind, mb.entries.shape)
 
 # the designed codebook lowers total coherence by coordinate descent on
 # per-beam rotations (a few sweeps already help; the default is 200)
-grid = build_grid(ArrayGeometry(128), 3)
+grid = build_grid(128, 3)
 dz = designed_codebook(128, grid, 64, 6, rng, sweeps=25)
 
 print("\ntotal coherence over the multiplier-3 grid, 128 antennas:")
@@ -46,6 +46,6 @@ print("  designed:       %10.2f" % total_coherence(dz, grid))
 
 # 64 antennas fit in 64 slots, so multi-beam reduces to plain DFT and
 # the designed construction returns it unchanged
-grid64 = build_grid(ArrayGeometry(64), 3)
+grid64 = build_grid(64, 3)
 print("\n64 antennas for reference:")
 print("  DFT:            %10.2f" % total_coherence(dft, grid64))

@@ -10,12 +10,12 @@ the grid-domain operator.
 
 import numpy as np
 
-from beamcs import (ArrayGeometry, ChannelParams, acquire, beam_index_errors, build_grid,
+from beamcs import (ChannelParams, acquire, beam_index_errors, build_grid,
                     build_sensing_operator, cs_detect, dft_codebook, exhaustive_search,
                     group_columns, pilot_response, sample_channel, sweep_signal, true_pairs)
 
 rng = np.random.default_rng(21)
-bs, ue = ArrayGeometry(64), ArrayGeometry(8)
+n_bs, n_ue = 64, 8  # antennas at the base station and at the user
 
 # 64 single-beam transmit entries; the 8 receive beams are grouped into
 # 2 sweep slots of 4 simultaneous combiner columns (one per RF chain)
@@ -26,7 +26,7 @@ rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
 n_pilots = 10
 noise_var = 10.0 ** (-1.0)
 
-ch = sample_channel(ChannelParams(), bs, ue, rng)
+ch = sample_channel(ChannelParams(), n_bs, n_ue, rng)
 truth = true_pairs(ch, 64, 8)
 print("true pairs:", sorted(truth))
 
@@ -42,7 +42,7 @@ print("ES estimates: ", list(es.estimated))
 # one pilot block that every pilot shares; cs_detect fits it to the pilot mean.
 # It takes any number of measurements of one sweep (the experiment passes one
 # per SNR point, fitted together) and returns one outcome for each
-op = build_sensing_operator(tx_cb, rx_cb, build_grid(bs, 3), build_grid(ue, 3))
+op = build_sensing_operator(tx_cb, rx_cb, build_grid(n_bs, 3), build_grid(n_ue, 3))
 print("operator shape (one pilot block):", op.shape)
 
 cs = cs_detect(op, [y], sparsity=6, n_tx_beams=64, n_rx_beams=8, n_pairs=len(truth))[0]

@@ -6,11 +6,11 @@ delay and scatter around the cluster mean angle with a Laplace profile.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, steering_vector
+from .arrays import steering_vector
 
 ANGLE_RANGE = (-math.pi / 2, math.pi / 2)  # field of view of path angles
 # 5G NR numerology mu = 3: 4096 subcarriers of 120 kHz. A path's delay enters
@@ -59,20 +59,12 @@ class PathComponent:
 class ChannelRealization:
     paths: list
     gain_scale: float  # sqrt(n_rx*n_tx / n_paths), fixes E||H||_F^2 = n_rx*n_tx
-    tx_geometry: ArrayGeometry
-    rx_geometry: ArrayGeometry
-
-    @property
-    def gains(self) -> np.ndarray:
-        return np.array([p.gain for p in self.paths])
-
-    @property
-    def delays(self) -> np.ndarray:
-        return np.array([p.delay for p in self.paths])
+    n_tx: int
+    n_rx: int
 
 
-def sample_channel(params: ChannelParams, tx_geometry: ArrayGeometry,
-                   rx_geometry: ArrayGeometry, rng: np.random.Generator) -> ChannelRealization:
+def sample_channel(params: ChannelParams, n_tx: int, n_rx: int,
+                   rng: np.random.Generator) -> ChannelRealization:
     """Draw one realization.
 
     Per cluster: mean AoD/AoA uniform over ANGLE_RANGE, one shared delay
@@ -81,6 +73,8 @@ def sample_channel(params: ChannelParams, tx_geometry: ArrayGeometry,
     normal gain of unit variance. Angles clip to the array's field of
     view rather than wrapping.
     """
+    if n_tx < 1 or n_rx < 1:
+        raise ValueError("n_ant must be positive")
     lo, hi = ANGLE_RANGE
     scale = params.ray_angle_std / math.sqrt(2.0)
     sigma = math.sqrt(0.5)
@@ -95,8 +89,8 @@ def sample_channel(params: ChannelParams, tx_geometry: ArrayGeometry,
             gain = complex(rng.normal(0.0, sigma), rng.normal(0.0, sigma))
             paths.append(PathComponent(gain, delay, aod, aoa, c, r))
     n_paths = params.n_clusters * params.n_rays
-    gain_scale = math.sqrt(rx_geometry.n_ant * tx_geometry.n_ant / n_paths)
-    return ChannelRealization(paths, gain_scale, tx_geometry, rx_geometry)
+    gain_scale = math.sqrt(n_rx * n_tx / n_paths)
+    return ChannelRealization(paths, gain_scale, n_tx, n_rx)
 
 
 def freq_channel(ch: ChannelRealization, subcarriers) -> np.ndarray:
@@ -107,26 +101,11 @@ def freq_channel(ch: ChannelRealization, subcarriers) -> np.ndarray:
     times delay phase).
     """
     subcarriers = [int(k) for k in subcarriers]  # the phase below is scalar arithmetic
-    h = np.zeros((len(subcarriers), ch.rx_geometry.n_ant, ch.tx_geometry.n_ant),
-                 dtype=complex)
+    h = np.zeros((len(subcarriers), ch.n_rx, ch.n_tx), dtype=complex)
     for p in ch.paths:
-        outer = np.outer(steering_vector(ch.rx_geometry, p.aoa),
-                         steering_vector(ch.tx_geometry, p.aod).conj())
+        outer = np.outer(steering_vector(ch.n_rx, p.aoa), steering_vector(ch.n_tx, p.aod).conj())
         w = np.array([p.gain * np.exp(-2j * np.pi * SAMPLE_RATE * p.delay * k / N_FFT)
                       for k in subcarriers], dtype=complex)
         h += w[:, None, None] * outer
     return ch.gain_scale * h
 
-
-def factorized_channel(ch: ChannelRealization, subcarrier: int):
-    """Same response split as (A_rx, H_d, A_tx) with H_d diagonal.
-
-    A_rx @ H_d @ A_tx^H equals freq_channel; columns of the A factors are
-    the per-path steering vectors, H_d holds scaled gains with the delay
-    phase of this subcarrier.
-    """
-    a_rx = np.stack([steering_vector(ch.rx_geometry, p.aoa) for p in ch.paths], axis=1)
-    a_tx = np.stack([steering_vector(ch.tx_geometry, p.aod) for p in ch.paths], axis=1)
-    phases = np.exp(-2j * np.pi * SAMPLE_RATE * ch.delays * subcarrier / N_FFT)
-    h_d = np.diag(ch.gain_scale * ch.gains * phases)
-    return a_rx, h_d, a_tx

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codebooks
-from .arrays import ArrayGeometry, build_grid
+from .arrays import build_grid
 from .channel import ChannelParams, sample_channel
 from .codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
                         designed_codebook, dft_codebook, group_columns,
@@ -223,11 +223,9 @@ def _noise_var(snr_db: float) -> float:
 def _build_assets(cfg: ExperimentConfig) -> dict:
     """Everything shared across trials: grids, combiners, and each static
     sweep's tx codebook and operator."""
-    bs = ArrayGeometry(cfg.n_ant_bs)
-    ue = ArrayGeometry(cfg.n_ant_ue)
-    tx_grid = build_grid(bs, _GRID_MULT)
-    rx_grid = build_grid(ue, _GRID_MULT)
-    assets = {"bs": bs, "ue": ue, "tx_grid": tx_grid, "rx_grid": rx_grid, "sweeps": {}}
+    tx_grid = build_grid(cfg.n_ant_bs, _GRID_MULT)
+    rx_grid = build_grid(cfg.n_ant_ue, _GRID_MULT)
+    assets = {"tx_grid": tx_grid, "rx_grid": rx_grid, "sweeps": {}}
     # random sweeps draw both codebooks per trial; every other sweep combines with DFT beams
     static = [k for k in dict.fromkeys(_METHODS[m].sweep for m in cfg.methods) if k != KIND_RANDOM]
     if static:
@@ -248,7 +246,7 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
 
 def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
     ch_rng = np.random.default_rng(_seed(cfg.master_seed, _TAG_CHANNEL, t))
-    ch = sample_channel(cfg.channel_params, assets["bs"], assets["ue"], ch_rng)
+    ch = sample_channel(cfg.channel_params, cfg.n_ant_bs, cfg.n_ant_ue, ch_rng)
     truth = true_pairs(ch, cfg.n_tx_beams, cfg.n_rx_beams)
     n_pairs = len(truth)
     h = pilot_response(ch, cfg.n_pilots)
@@ -387,7 +385,7 @@ def parse_config_file(path) -> dict:
     given once. A # starts a comment anywhere on a line, and blank lines
     are ignored."""
     overrides, set_on = {}, {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

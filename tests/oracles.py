@@ -26,15 +26,30 @@ def freq_channel_loop(ch, subcarriers) -> np.ndarray:
     the path's steering outer product scaled by its gain and delay phase
     at one subcarrier at a time."""
     subcarriers = [int(k) for k in subcarriers]
-    h = np.zeros((len(subcarriers), ch.rx_geometry.n_ant, ch.tx_geometry.n_ant),
-                 dtype=complex)
+    h = np.zeros((len(subcarriers), ch.n_rx, ch.n_tx), dtype=complex)
     for p in ch.paths:
-        outer = np.outer(steering_vector(ch.rx_geometry, p.aoa),
-                         steering_vector(ch.tx_geometry, p.aod).conj())
+        outer = np.outer(steering_vector(ch.n_rx, p.aoa), steering_vector(ch.n_tx, p.aod).conj())
         for ki, k in enumerate(subcarriers):
             phase = np.exp(-2j * np.pi * SAMPLE_RATE * p.delay * k / N_FFT)
             h[ki] += p.gain * phase * outer
     return ch.gain_scale * h
+
+
+def factorized_channel(ch, subcarrier: int):
+    """freq_channel at one subcarrier split as (A_rx, H_d, A_tx) with H_d
+    diagonal.
+
+    A_rx @ H_d @ A_tx^H equals freq_channel; columns of the A factors are
+    the per-path steering vectors, H_d holds scaled gains with the delay
+    phase of this subcarrier.
+    """
+    a_rx = np.stack([steering_vector(ch.n_rx, p.aoa) for p in ch.paths], axis=1)
+    a_tx = np.stack([steering_vector(ch.n_tx, p.aod) for p in ch.paths], axis=1)
+    gains = np.array([p.gain for p in ch.paths])
+    delays = np.array([p.delay for p in ch.paths])
+    phases = np.exp(-2j * np.pi * SAMPLE_RATE * delays * subcarrier / N_FFT)
+    h_d = np.diag(ch.gain_scale * gains * phases)
+    return a_rx, h_d, a_tx
 
 
 def quantize_phases(matrix: np.ndarray, phase_bits: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
 from beamcs import codebooks
-from beamcs.arrays import ArrayGeometry, build_grid
+from beamcs.arrays import build_grid
 from beamcs.codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
                               Codebook, _phasor_table, designed_codebook, dft_codebook,
                               group_columns, multi_beam_dft_codebook, random_codebook,
@@ -17,7 +17,7 @@ from oracles import quantize_phases
 
 def all_books():
     rng = np.random.default_rng(77)
-    grid = build_grid(ArrayGeometry(128), 3)
+    grid = build_grid(128, 3)
     return [
         dft_codebook(64, 64, 6),
         random_codebook(64, 64, 1, 6, rng),
@@ -68,7 +68,7 @@ def test_quantize_idempotent_on_grid():
     (128, 3, 8, 5, "2267c0e60bed329b08efcc7be06a5485a05b7e67590483cbf118f05f0582da97"),
 ], ids=["128ant-grid3-6bit", "256ant-grid3-6bit", "128ant-grid2-4bit", "128ant-grid3-8bit"])
 def test_designed_phase_indices_digest(n_ant, grid_mult, phase_bits, sweeps, digest):
-    grid = build_grid(ArrayGeometry(n_ant), grid_mult)
+    grid = build_grid(n_ant, grid_mult)
     d = designed_codebook(n_ant, grid, 64, phase_bits, np.random.default_rng(7), sweeps=sweeps)
     got = hashlib.sha256(np.ascontiguousarray(d.phase_indices, dtype="<i8").tobytes())
     assert got.hexdigest() == digest
@@ -114,7 +114,7 @@ def test_phasor_tables_digest():
 def test_every_builder_caps_phase_bits_at_16():
     # the cap lives in the phase table that every builder reads; without it
     # a 30-bit DFT codebook asked for a 2**30-entry table
-    grid = build_grid(ArrayGeometry(16), 1)
+    grid = build_grid(16, 1)
     for build in (lambda: dft_codebook(8, 8, 17),
                   lambda: random_codebook(8, 2, 1, 17, np.random.default_rng(0)),
                   lambda: multi_beam_dft_codebook(16, 8, 17),
@@ -126,7 +126,7 @@ def test_every_builder_caps_phase_bits_at_16():
 def test_dft_six_bits_is_exact_for_64_antennas():
     # 64-point DFT phases live on the 6-bit grid, so quantization is lossless
     q = dft_codebook(64, 64, 6)
-    atoms = build_grid(ArrayGeometry(64), 1)  # the exact DFT beams, same order
+    atoms = build_grid(64, 1)  # the exact DFT beams, same order
     n, m = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
     assert np.array_equal(q.phase_indices[:, :, 0], (n * m % 64).T)
     assert np.max(np.abs(q.entries[:, :, 0].T - atoms)) < 1e-14
@@ -199,14 +199,14 @@ def test_group_columns_preserves_flat_order():
 
 def test_total_coherence_zero_for_unitary_effective():
     cb = dft_codebook(16, 16, 6)  # 16-point DFT phases lie on the 6-bit grid
-    grid = build_grid(ArrayGeometry(16), 1)
+    grid = build_grid(16, 1)
     assert total_coherence(cb, grid) < 1e-18
 
 
 def test_total_coherence_matches_dense_gram():
     rng = np.random.default_rng(8)
     cb = random_codebook(16, 12, 1, 6, rng)
-    grid = build_grid(ArrayGeometry(16), 3)
+    grid = build_grid(16, 3)
     x = np.concatenate([cb.entries[m] for m in range(cb.n_entries)], axis=1)
     eff = x.T @ grid.conj()
     cols = eff / np.linalg.norm(eff, axis=0)
@@ -216,7 +216,7 @@ def test_total_coherence_matches_dense_gram():
 
 
 def test_designed_single_beam_per_entry_is_dft():
-    grid = build_grid(ArrayGeometry(64), 3)
+    grid = build_grid(64, 3)
     d = designed_codebook(64, grid, 64, 6, np.random.default_rng(1), sweeps=3)
     assert d.kind == KIND_DESIGNED
     assert np.array_equal(d.phase_indices, dft_codebook(64, 64, 6).phase_indices)
@@ -228,20 +228,20 @@ def test_designed_rejects_a_grid_of_another_array():
     # the single-beam start never read the grid, and a 128-antenna search on
     # a 64-antenna grid failed inside matmul with a gufunc shape message
     for n_ant, grid_ant in ((64, 128), (128, 64)):
-        grid = build_grid(ArrayGeometry(grid_ant), 3)
+        grid = build_grid(grid_ant, 3)
         with pytest.raises(ValueError, match="^codebook and grid antenna counts differ$"):
             designed_codebook(n_ant, grid, 64, 6, np.random.default_rng(0))
 
 
 def test_designed_never_worse_than_multi_beam_start():
-    grid = build_grid(ArrayGeometry(128), 3)
+    grid = build_grid(128, 3)
     start = total_coherence(multi_beam_dft_codebook(128, 64, 6), grid)
     d = designed_codebook(128, grid, 64, 6, np.random.default_rng(2), sweeps=3)
     assert total_coherence(d, grid) <= start
 
 
 def test_designed_deterministic_given_seed():
-    grid = build_grid(ArrayGeometry(128), 3)
+    grid = build_grid(128, 3)
     a = designed_codebook(128, grid, 64, 6, np.random.default_rng(9), sweeps=2)
     b = designed_codebook(128, grid, 64, 6, np.random.default_rng(9), sweeps=2)
     assert np.array_equal(a.phase_indices, b.phase_indices)

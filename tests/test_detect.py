@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from beamcs import detect
-from beamcs.arrays import ArrayGeometry, beam_sin_values, build_grid
+from beamcs.arrays import beam_sin_values, build_grid
 from beamcs.channel import ChannelParams, ChannelRealization, PathComponent, sample_channel
 from beamcs.codebooks import (_nearest_index, designed_codebook, dft_codebook,
                               group_columns, multi_beam_dft_codebook, random_codebook)
@@ -20,7 +20,7 @@ from oracles import DenseOperator, residual, stacked_omp, to_dense
 
 def make_channel(paths, n_bs=64, n_ue=8):
     scale = math.sqrt(n_bs * n_ue / len(paths))
-    return ChannelRealization(list(paths), scale, ArrayGeometry(n_bs), ArrayGeometry(n_ue))
+    return ChannelRealization(list(paths), scale, n_bs, n_ue)
 
 
 def on_beam_path(tx_beam, rx_beam, n_tx=64, n_rx=8, gain=1.0 + 0.0j, delay=0.0):
@@ -49,7 +49,7 @@ def test_true_pairs_matches_brute_force():
 
     rng = np.random.default_rng(17)
     for _ in range(25):
-        ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8), rng)
+        ch = sample_channel(ChannelParams(), 64, 8, rng)
         got = true_pairs(ch, 64, 8)
         tx_sins, rx_sins = beam_sin_values(64), beam_sin_values(8)
         want = set()
@@ -116,8 +116,7 @@ def test_exhaustive_search_finds_aligned_path():
 
 
 def test_exhaustive_search_matches_brute_force_ranking():
-    ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
-                        np.random.default_rng(21))
+    ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(21))
     tx, rx = dft_pair_codebooks()
     y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.5, np.random.default_rng(22))
     n_pairs = 5
@@ -211,16 +210,15 @@ def test_gram_omp_matches_the_residual_loop_on_one_block():
     # system; _stacked_omp applies the adjoint and runs lstsq on every pick
     rng = np.random.default_rng(21)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    grid = build_grid(ArrayGeometry(64), 3)
+    grid = build_grid(64, 3)
     txs = (dft_codebook(64, 64, 6), random_codebook(64, 64, 1, 6, rng),
            designed_codebook(64, grid, 64, 6, rng, sweeps=2))
     snrs = np.arange(-30.0, 35.0, 5.0)
     for tx in txs:
-        op = build_sensing_operator(tx, rx, grid, build_grid(ArrayGeometry(8), 3))
+        op = build_sensing_operator(tx, rx, grid, build_grid(8, 3))
         assert not op.aliased
         for seed in range(3):
-            ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
-                                np.random.default_rng(seed))
+            ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(seed))
             signal = sweep_signal(pilot_response(ch, 10), tx, rx)
             for snr_db in snrs:
                 y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
@@ -238,14 +236,13 @@ def test_batched_omp_rows_equal_the_rows_fitted_alone_bitwise():
     # the 13 SNR points of one sweep, as cs_detect stacks their pilot means
     rng = np.random.default_rng(23)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    grid = build_grid(ArrayGeometry(64), 3)
+    grid = build_grid(64, 3)
     txs = (dft_codebook(64, 64, 6), random_codebook(64, 64, 1, 6, rng),
            designed_codebook(64, grid, 64, 6, rng, sweeps=2))
     for tx in txs:
-        op = build_sensing_operator(tx, rx, grid, build_grid(ArrayGeometry(8), 3))
+        op = build_sensing_operator(tx, rx, grid, build_grid(8, 3))
         for seed in range(2):
-            ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
-                                np.random.default_rng(seed))
+            ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(seed))
             signal = sweep_signal(pilot_response(ch, 10), tx, rx)
             ys = np.stack([acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
                                    np.random.default_rng(300 + seed)).mean(axis=0).reshape(-1)
@@ -290,8 +287,8 @@ def test_omp_rejects_bad_sparsity():
 
 def cs_setup(multiplier, n_tx=64, n_ue=8, seed=7):
     tx, rx = dft_pair_codebooks(n_tx, n_ue)
-    tx_grid = build_grid(ArrayGeometry(n_tx), multiplier)
-    rx_grid = build_grid(ArrayGeometry(n_ue), multiplier)
+    tx_grid = build_grid(n_tx, multiplier)
+    rx_grid = build_grid(n_ue, multiplier)
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid)
     return tx, rx, op
 
@@ -345,11 +342,9 @@ def test_cs_detect_fills_from_the_residual_when_support_pairs_coincide():
     assert out.estimated == (BeamPair(20, 4), BeamPair(21, 4), BeamPair(19, 4))
 
     tx = multi_beam_dft_codebook(128, 64, 6)
-    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(128), 3),
-                                build_grid(ArrayGeometry(8), 3))
+    op = build_sensing_operator(tx, rx, build_grid(128, 3), build_grid(8, 3))
     assert op.aliased
-    ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
-                        np.random.default_rng(17))
+    ch = sample_channel(ChannelParams(), 128, 8, np.random.default_rng(17))
     y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.1, np.random.default_rng(117))
     out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=5)[0]
     assert len(support_pairs(op, out, 128)) == 4
@@ -373,8 +368,7 @@ def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
     hits = 0
     n = 500
     for t in range(n):
-        ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
-                            np.random.default_rng(10_000 + t))
+        ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(10_000 + t))
         truth = true_pairs(ch, 64, 8)
         y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, noise_var,
                     np.random.default_rng(20_000 + t))
@@ -402,14 +396,13 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
     rx_dft = group_columns(dft_codebook(8, 8, 6), 4)
     pairs = [(dft_codebook(64, 64, 6), rx_dft),
              (random_codebook(64, 64, 1, 6, rng), random_codebook(8, 2, 4, 6, rng))]
-    grids = build_grid(ArrayGeometry(64), 3), build_grid(ArrayGeometry(8), 3)
+    grids = build_grid(64, 3), build_grid(8, 3)
     for tx, rx in pairs:
         op = build_sensing_operator(tx, rx, *grids)
         assert not op.aliased
         dense = DenseOperator(to_dense(op, 2))
         for seed in range(2):
-            ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
-                                np.random.default_rng(seed))
+            ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(seed))
             signal = sweep_signal(pilot_response(ch, 2), tx, rx)
             for snr_db in (-10.0, 10.0, 30.0):
                 y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
@@ -421,8 +414,7 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
 def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
     tx = multi_beam_dft_codebook(128, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(128), 3),
-                                build_grid(ArrayGeometry(8), 3))
+    op = build_sensing_operator(tx, rx, build_grid(128, 3), build_grid(8, 3))
     assert op.aliased
     fits = []
     product_omp = detect._stacked_omp
@@ -433,8 +425,7 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
 
     monkeypatch.setattr(detect, "_stacked_omp", recorded_omp)
     for seed in range(3):
-        ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
-                            np.random.default_rng(seed))
+        ch = sample_channel(ChannelParams(), 128, 8, np.random.default_rng(seed))
         y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.01,
                     np.random.default_rng(50 + seed))
         out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)[0]
@@ -447,11 +438,9 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
 def test_cs_detect_fits_each_aliased_measurement_before_reading_the_next(monkeypatch):
     tx = multi_beam_dft_codebook(128, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(128), 3),
-                                build_grid(ArrayGeometry(8), 3))
+    op = build_sensing_operator(tx, rx, build_grid(128, 3), build_grid(8, 3))
     assert op.aliased
-    ch = sample_channel(ChannelParams(), ArrayGeometry(128), ArrayGeometry(8),
-                        np.random.default_rng(4))
+    ch = sample_channel(ChannelParams(), 128, 8, np.random.default_rng(4))
     signal = sweep_signal(pilot_response(ch, 2), tx, rx)
     drawn = []
 
@@ -480,8 +469,7 @@ def test_cs_detect_of_no_measurements_is_empty_for_both_operator_kinds():
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     for n_ant in (64, 128):
         op = build_sensing_operator(multi_beam_dft_codebook(n_ant, 64, 6), rx,
-                                    build_grid(ArrayGeometry(n_ant), 3),
-                                    build_grid(ArrayGeometry(8), 3))
+                                    build_grid(n_ant, 3), build_grid(8, 3))
         assert op.aliased == (n_ant == 128)
         assert cs_detect(op, [], sparsity=6, n_tx_beams=n_ant, n_rx_beams=8, n_pairs=2) == []
         assert cs_detect(op, iter(()), sparsity=6, n_tx_beams=n_ant, n_rx_beams=8,

@@ -183,12 +183,13 @@ GOLDEN_ALIASED_SHA256 = (
     "4268e7671c4beb836f71d3b6b603a7c0fa19f9ecdfb4c3bb525d89e04d9b61d6")
 
 
-def test_golden_bytes(tmp_path):
-    for name, fields, digests in (("default", GOLDEN, GOLDEN_SHA256),
-                                  ("aliased128", GOLDEN_ALIASED, GOLDEN_ALIASED_SHA256)):
-        records, stats = run_experiment(ExperimentConfig(**fields))
-        paths = emit_csv(records, stats, tmp_path / name)
-        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests, name
+@pytest.mark.parametrize("fields, digests", [(GOLDEN, GOLDEN_SHA256),
+                                              (GOLDEN_ALIASED, GOLDEN_ALIASED_SHA256)],
+                         ids=["default", "aliased128"])
+def test_golden_bytes(fields, digests, tmp_path):
+    records, stats = run_experiment(ExperimentConfig(**fields))
+    paths = emit_csv(records, stats, tmp_path)
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests
 
 
 def test_assets_build_the_dft_combiner_only_for_the_sweeps_that_read_it():
@@ -343,15 +344,17 @@ def test_parse_snr_range():
 
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.cfg"
-    # a # starts a comment anywhere on a line
-    p.write_text("# comment\n\nn_trials = 25  # trials\nsnr_db = -10:10:10\n"
-                 "  # indented\nmethods = ES, OMP-DFT\nmaster_seed=7# seed\n"
-                 "delay_max = 1e-7\n", encoding="utf-8")
-    got = parse_config_file(p)
-    assert got == {"n_trials": 25, "snr_db": (-10.0, 0.0, 10.0),
-                   "methods": ("ES", "OMP-DFT"), "master_seed": 7, "delay_max": 1e-7}
-    cfg = ExperimentConfig(**got)
-    cfg.validate()
+    # utf-8-sig writes the byte-order mark that some editors put first in a file
+    for encoding in ("utf-8", "utf-8-sig"):
+        # a # starts a comment anywhere on a line
+        p.write_text("# comment\n\nn_trials = 25  # trials\nsnr_db = -10:10:10\n"
+                     "  # indented\nmethods = ES, OMP-DFT\nmaster_seed=7# seed\n"
+                     "delay_max = 1e-7\n", encoding=encoding)
+        got = parse_config_file(p)
+        assert got == {"n_trials": 25, "snr_db": (-10.0, 0.0, 10.0),
+                       "methods": ("ES", "OMP-DFT"), "master_seed": 7, "delay_max": 1e-7}
+        cfg = ExperimentConfig(**got)
+        cfg.validate()
 
 
 def test_parse_config_file_comma_snr_list(tmp_path):

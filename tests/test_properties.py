@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beamcs import codebooks
-from beamcs.arrays import ArrayGeometry, build_grid
+from beamcs.arrays import build_grid
 from beamcs.channel import ChannelRealization, PathComponent
 from beamcs.codebooks import (Codebook, _beam_angles, _coherence_of_effective,
                               _combined_indices, _nearest_index, _phasor_table,
@@ -175,7 +175,7 @@ def test_true_pairs_snaps_a_path_sine_to_the_circular_argmin(n, sin):
     want = _nearest_beam_oracle(n, Fraction(math.sin(angle)))
     assume(want is not None)
     ch = ChannelRealization([PathComponent(1.0 + 0.0j, 0.0, angle, angle, 0, 0)], 1.0,
-                            ArrayGeometry(1), ArrayGeometry(1))
+                            1, 1)
     assert true_pairs(ch, n, n) == {BeamPair(want, want)}
 
 
@@ -203,8 +203,7 @@ def test_operator_adjoint_identity(n_tx, n_rx, n_tx_entries, n_rx_entries, n_rf,
     rng = np.random.default_rng(seed)
     op = build_sensing_operator(_raw_codebook(rng, n_tx_entries, n_tx, 1),
                                 _raw_codebook(rng, n_rx_entries, n_rx, n_rf),
-                                build_grid(ArrayGeometry(n_tx), tx_mult),
-                                build_grid(ArrayGeometry(n_rx), rx_mult))
+                                build_grid(n_tx, tx_mult), build_grid(n_rx, rx_mult))
     h = rng.standard_normal((op.shape[1], 2)) @ np.array([1.0, 1j])
     r = rng.standard_normal((n_pilots * op.shape[0], 2)) @ np.array([1.0, 1j])
     # the block repeated over the pilots: its adjoint is the block's adjoint

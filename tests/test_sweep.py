@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import beamcs.sweep
-from beamcs.arrays import ArrayGeometry, beam_sin_values, build_grid, steering_vector
+from beamcs.arrays import beam_sin_values, build_grid, steering_vector
 from beamcs.channel import (N_FFT, SAMPLE_RATE, ChannelRealization, PathComponent,
                             sample_channel, ChannelParams, freq_channel)
 from beamcs.codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
@@ -40,7 +40,7 @@ def test_transmit_vectors_unit_norm_and_single_column():
 
 
 def test_measurement_vector_length_and_energy_layout():
-    bs, ue = ArrayGeometry(64), ArrayGeometry(8)
+    bs, ue = 64, 8
     ch = sample_channel(ChannelParams(), bs, ue, np.random.default_rng(1))
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
@@ -60,8 +60,7 @@ def test_measurement_vector_length_and_energy_layout():
 
 
 def default_sweep_inputs():
-    ch = sample_channel(ChannelParams(), ArrayGeometry(64), ArrayGeometry(8),
-                        np.random.default_rng(1))
+    ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(1))
     return ch, dft_codebook(64, 64, 6), group_columns(dft_codebook(8, 8, 6), 4)
 
 
@@ -108,9 +107,9 @@ def test_acquire_rejects_bad_noise_var():
 
 
 def test_noiseless_aligned_measurement_closed_form():
-    bs, ue = ArrayGeometry(32), ArrayGeometry(8)
+    bs, ue = 32, 8
     path = PathComponent(gain=0.8 - 0.3j, delay=50e-9, aod=0.4, aoa=-0.7, cluster=0, ray=0)
-    ch = ChannelRealization([path], gain_scale=np.sqrt(32 * 8), tx_geometry=bs, rx_geometry=ue)
+    ch = ChannelRealization([path], gain_scale=np.sqrt(32 * 8), n_tx=bs, n_rx=ue)
     tx = raw_codebook(steering_vector(bs, path.aod)[None, :, None])
     rx = raw_codebook(steering_vector(ue, path.aoa)[None, :, None])
     y = acquire(sweep_signal(pilot_response(ch, 4), tx, rx), rx, 0.0, np.random.default_rng(0))
@@ -125,9 +124,9 @@ def test_noiseless_aligned_measurement_closed_form():
 
 def test_combined_noise_covariance_is_shaped_by_combiner():
     # zero channel, many tx slots: each block is an i.i.d. stacked noise draw
-    bs, ue = ArrayGeometry(4), ArrayGeometry(8)
+    bs, ue = 4, 8
     ch = ChannelRealization([PathComponent(0.0, 0.0, 0.1, 0.2, 0, 0)],
-                            gain_scale=1.0, tx_geometry=bs, rx_geometry=ue)
+                            gain_scale=1.0, n_tx=bs, n_rx=ue)
     rng = np.random.default_rng(9)
     rx = random_codebook(8, 1, 4, 6, rng)
     tx = random_codebook(4, 200, 1, 6, rng)
@@ -150,8 +149,7 @@ def test_combined_noise_covariance_is_shaped_by_combiner():
 def test_operator_logical_shape_default_geometry():
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(64), 3),
-                                build_grid(ArrayGeometry(8), 3))
+    op = build_sensing_operator(tx, rx, build_grid(64, 3), build_grid(8, 3))
     assert op.shape == (512, 4608)
 
 
@@ -159,8 +157,7 @@ def small_operator(seed=4):
     rng = np.random.default_rng(seed)
     tx = random_codebook(16, 8, 1, 6, rng)
     rx = random_codebook(4, 2, 2, 6, rng)
-    return build_sensing_operator(tx, rx, build_grid(ArrayGeometry(16), 2),
-                                  build_grid(ArrayGeometry(4), 2))
+    return build_sensing_operator(tx, rx, build_grid(16, 2), build_grid(4, 2))
 
 
 def test_operator_apply_matches_dense():
@@ -192,8 +189,7 @@ def test_operator_adjoint_matches_dense():
 def test_operator_columns_and_norms_match_dense():
     aliased = build_sensing_operator(multi_beam_dft_codebook(128, 64, 6),
                                      group_columns(dft_codebook(8, 8, 6), 4),
-                                     build_grid(ArrayGeometry(128), 3),
-                                     build_grid(ArrayGeometry(8), 3))
+                                     build_grid(128, 3), build_grid(8, 3))
     assert aliased.aliased
     rng = np.random.default_rng(9)
     for op in (small_operator(), aliased):
@@ -230,12 +226,12 @@ def test_operator_gram_factors_match_dense():
 def test_operator_adjoint_of_a_stack_equals_the_row_calls_bitwise():
     rng = np.random.default_rng(8)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    grid8 = build_grid(ArrayGeometry(8), 3)
+    grid8 = build_grid(8, 3)
     ops = [small_operator()]
     for tx in (dft_codebook(64, 64, 6), random_codebook(64, 64, 1, 6, rng)):
-        ops.append(build_sensing_operator(tx, rx, build_grid(ArrayGeometry(64), 3), grid8))
+        ops.append(build_sensing_operator(tx, rx, build_grid(64, 3), grid8))
     ops.append(build_sensing_operator(multi_beam_dft_codebook(128, 64, 6), rx,
-                                      build_grid(ArrayGeometry(128), 3), grid8))
+                                      build_grid(128, 3), grid8))
     assert ops[-1].aliased
     for op in ops:
         r = rng.standard_normal((13, op.shape[0], 2)).view(complex)[..., 0]
@@ -250,8 +246,8 @@ def test_operator_reduces_to_grid_kronecker_for_identity_beams():
     n_tx, n_rx = 8, 4
     tx = raw_codebook(np.stack([np.eye(n_tx)[:, [i]] for i in range(n_tx)]))
     rx = raw_codebook(np.eye(n_rx)[None])
-    tx_grid = build_grid(ArrayGeometry(n_tx), 2)
-    rx_grid = build_grid(ArrayGeometry(n_rx), 2)
+    tx_grid = build_grid(n_tx, 2)
+    rx_grid = build_grid(n_rx, 2)
     op = build_sensing_operator(tx, rx, tx_grid, rx_grid)
     want = np.kron(tx_grid.conj(), rx_grid)
     assert np.max(np.abs(to_dense(op) - want)) < 1e-12
@@ -262,7 +258,7 @@ def tx_codebook(kind, n_ant):
         return multi_beam_dft_codebook(n_ant, 64, 6)
     if kind == "dft":
         return dft_codebook(n_ant, 64, 6)
-    return designed_codebook(n_ant, build_grid(ArrayGeometry(n_ant), 3), 64, 6,
+    return designed_codebook(n_ant, build_grid(n_ant, 3), 64, 6,
                              np.random.default_rng(3), sweeps=5)
 
 
@@ -274,8 +270,8 @@ def test_parallel_columns_marks_aliased_transmit_bins(kind, n_ant, marked):
     # the 63 and 32 marks are 63 and 32 parallel pairs, 191 and 112 cover
     # 381 and 208 pairs
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    op = build_sensing_operator(tx_codebook(kind, n_ant), rx, build_grid(ArrayGeometry(n_ant), 3),
-                                build_grid(ArrayGeometry(8), 3))
+    op = build_sensing_operator(tx_codebook(kind, n_ant), rx, build_grid(n_ant, 3),
+                                build_grid(8, 3))
     mask = parallel_columns(op.tx_factor)
     assert mask.shape == (op.n_tx_bins,) and mask.sum() == marked
     assert not parallel_columns(op.rx_factor).any()
@@ -296,7 +292,7 @@ def test_parallel_columns_marks_only_later_copies():
 
 
 def test_noiseless_on_grid_acquire_equals_operator_apply():
-    bs, ue = ArrayGeometry(16), ArrayGeometry(8)
+    bs, ue = 16, 8
     tx_grid = build_grid(bs, 2)
     rx_grid = build_grid(ue, 2)
     # zero-delay paths exactly on grid bins make h flat across pilots
@@ -305,8 +301,7 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     tx_sins, rx_sins = beam_sin_values(tx_grid.shape[1]), beam_sin_values(rx_grid.shape[1])
     paths = [PathComponent(g, 0.0, np.arcsin(tx_sins[bt]), np.arcsin(rx_sins[br]), i, 0)
              for i, (g, (bt, br)) in enumerate(zip(gains, bins))]
-    ch = ChannelRealization(paths, gain_scale=np.sqrt(16 * 8 / 2), tx_geometry=bs,
-                            rx_geometry=ue)
+    ch = ChannelRealization(paths, gain_scale=np.sqrt(16 * 8 / 2), n_tx=bs, n_rx=ue)
     rng = np.random.default_rng(3)
     tx = random_codebook(16, 12, 1, 6, rng)
     rx = random_codebook(8, 2, 3, 6, rng)
@@ -333,7 +328,7 @@ def test_random_operator_is_aliased_exactly_when_its_transmit_factor_is():
     # on the grid: at 4 antennas and 1 phase bit its transmit factor has
     # parallel columns for 43 of these seeds; the DFT combiner never does
     rx = group_columns(dft_codebook(8, 8, 6), 4)
-    grids = build_grid(ArrayGeometry(4), 3), build_grid(ArrayGeometry(8), 3)
+    grids = build_grid(4, 3), build_grid(8, 3)
     aliased, marked = [], []
     for seed in range(100):
         tx = random_codebook(4, 4, 1, 1, np.random.default_rng(seed))
@@ -349,8 +344,7 @@ def test_aliased_is_worked_out_on_the_first_read_only():
     tx, rx = dft_codebook(64, 64, 6), group_columns(dft_codebook(8, 8, 6), 4)
     with mock.patch.object(beamcs.sweep, "parallel_columns",
                            wraps=beamcs.sweep.parallel_columns) as spy:
-        op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(64), 3),
-                                    build_grid(ArrayGeometry(8), 3))
+        op = build_sensing_operator(tx, rx, build_grid(64, 3), build_grid(8, 3))
         assert spy.call_count == 0
         assert not op.aliased and not op.aliased
         assert spy.call_count == 2  # the two factors, once
@@ -360,16 +354,16 @@ def test_broadcast_response_and_one_product_sweep_match_their_loops():
     # 8/64/128/256 tx antennas x flat and 200 ns channels x 1/10/127 pilots,
     # 38 channels each: 912 responses equal to the per-subcarrier loop, and
     # the sweep's one product equal to the per-pilot products w_h @ h @ x
-    ue, rng = ArrayGeometry(8), np.random.default_rng(30)
+    ue, rng = 8, np.random.default_rng(30)
     rxs = [group_columns(dft_codebook(8, 8, 6), 4), random_codebook(8, 2, 4, 6, rng)]
     for n_ant in (8, 64, 128, 256):
-        bs, n_entries = ArrayGeometry(n_ant), min(n_ant, 64)
+        n_entries = min(n_ant, 64)
         txs = [dft_codebook(n_ant, n_entries, 6), multi_beam_dft_codebook(n_ant, n_entries, 6),
                random_codebook(n_ant, n_entries, 1, 6, rng)]
         for delay_max in (0.0, 200e-9):
             for n_pilots in (1, 10, 127):
                 for i in range(38):
-                    ch = sample_channel(ChannelParams(delay_max=delay_max), bs, ue, rng)
+                    ch = sample_channel(ChannelParams(delay_max=delay_max), n_ant, ue, rng)
                     h = pilot_response(ch, n_pilots)
                     assert h.tobytes() == freq_channel_loop(ch, pilots(n_pilots)).tobytes()
                     tx, rx = txs[i % 3], rxs[i % 2]
@@ -382,8 +376,7 @@ def test_broadcast_response_and_one_product_sweep_match_their_loops():
 
 def test_codebook_and_operator_constants_are_formed_once_and_read_only():
     ch, tx, rx = default_sweep_inputs()
-    op = build_sensing_operator(tx, rx, build_grid(ArrayGeometry(64), 3),
-                                build_grid(ArrayGeometry(8), 3))
+    op = build_sensing_operator(tx, rx, build_grid(64, 3), build_grid(8, 3))
     y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.1,
                 np.random.default_rng(5)).mean(axis=0).reshape(-1)
     with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:

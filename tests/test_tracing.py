@@ -10,7 +10,7 @@ import importlib.util
 import math
 from pathlib import Path
 
-from beamcs.arrays import ArrayGeometry, build_grid
+from beamcs.arrays import build_grid
 from beamcs.codebooks import total_coherence
 from beamcs.experiment import METHODS, ExperimentConfig, run_experiment
 
@@ -34,7 +34,7 @@ def test_tracer_reads_the_designed_build(tmp_path):
     cb, grid = tracer.designed
     coherence = total_coherence(cb, grid)
     assert math.isfinite(coherence)
-    assert coherence == total_coherence(cb, build_grid(ArrayGeometry(128), 3))
+    assert coherence == total_coherence(cb, build_grid(128, 3))
     by_pid, _ = tracer.collect()
     assert [s[0] for s in by_pid[tracer.pid]].count("codebooks.designed_codebook") == 1
 
