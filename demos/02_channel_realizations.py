@@ -13,13 +13,13 @@ import math
 
 import numpy as np
 
-from beamcs import N_FFT, SAMPLE_RATE, ChannelParams, freq_channel, sample_channel, steering_vector
+from beamcs import N_FFT, SAMPLE_RATE, freq_channel, sample_channel, steering_vector
 
 rng = np.random.default_rng(7)
 n_bs, n_ue = 64, 8  # antennas at the base station and at the user
-params = ChannelParams()  # 2 clusters x 3 rays, 2 deg ray spread, 200 ns max delay
 
-ch = sample_channel(params, n_bs, n_ue, rng)
+# the model's constants: 2 clusters x 3 rays, 2 deg ray spread, 200 ns max delay
+ch = sample_channel(n_bs, n_ue, rng)
 print("paths:", len(ch.paths), " gain scale: %.3f" % ch.gain_scale)
 print("cluster ray   |gain|   delay(ns)   AoD(deg)   AoA(deg)")
 for p in ch.paths:
@@ -54,7 +54,7 @@ for k, h_sum in zip(ks, freq_channel(ch, ks)):
 # n_tx_antennas * n_rx_antennas
 norms = []
 for _ in range(300):
-    c = sample_channel(params, n_bs, n_ue, rng)
+    c = sample_channel(n_bs, n_ue, rng)
     norms.append(np.linalg.norm(freq_channel(c, [2048])) ** 2)
 print("mean ||H||_F^2 over 300 draws: %.1f (target %d)"
       % (np.mean(norms), n_bs * n_ue))

@@ -10,9 +10,9 @@ the grid-domain operator.
 
 import numpy as np
 
-from beamcs import (ChannelParams, acquire, beam_index_errors, build_grid,
-                    build_sensing_operator, cs_detect, dft_codebook, exhaustive_search,
-                    group_columns, pilot_response, sample_channel, sweep_signal, true_pairs)
+from beamcs import (acquire, beam_index_errors, build_grid, build_sensing_operator, cs_detect,
+                    dft_codebook, exhaustive_search, group_columns, pilot_response,
+                    sample_channel, sweep_signal, true_pairs)
 
 rng = np.random.default_rng(21)
 n_bs, n_ue = 64, 8  # antennas at the base station and at the user
@@ -26,7 +26,7 @@ rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
 n_pilots = 10
 noise_var = 10.0 ** (-1.0)
 
-ch = sample_channel(ChannelParams(), n_bs, n_ue, rng)
+ch = sample_channel(n_bs, n_ue, rng)
 truth = true_pairs(ch, 64, 8)
 print("true pairs:", sorted(truth))
 

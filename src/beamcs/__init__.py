@@ -1,8 +1,8 @@
 """Compressed-sensing beam detection for swept initial-access pilots."""
 
 from .arrays import beam_sin_values, build_grid, steering_vector
-from .channel import (N_FFT, SAMPLE_RATE, ChannelParams, ChannelRealization, PathComponent,
-                      freq_channel, sample_channel)
+from .channel import (N_FFT, SAMPLE_RATE, ChannelRealization, PathComponent, freq_channel,
+                      sample_channel)
 from .codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
                         multi_beam_dft_codebook, random_codebook, total_coherence)
 from .detect import (BeamPair, DetectionOutcome, OmpResult, beam_index_errors, cs_detect,

@@ -1,8 +1,10 @@
 """Clustered multipath channel for a single mmWave link.
 
 Geometry: one transmit ULA, one receive ULA, frequency response evaluated
-per OFDM subcarrier. Paths come in clusters; rays of a cluster share one
-delay and scatter around the cluster mean angle with a Laplace profile.
+per OFDM subcarrier. Paths come in N_CLUSTERS clusters of N_RAYS rays; rays
+of a cluster share one delay, uniform on [0, delay_max] (DELAY_MAX by
+default), and scatter around the cluster mean angle with a Laplace profile
+of standard deviation RAY_ANGLE_STD.
 """
 
 import math
@@ -22,27 +24,20 @@ N_FFT = 4096
 SAMPLE_RATE = 491.52e6
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    n_clusters: int = 2
-    n_rays: int = 3
-    delay_max: float = 200e-9
-    ray_angle_std: float = math.radians(2.0)
+N_CLUSTERS = 2
+N_RAYS = 3
+RAY_ANGLE_STD = math.radians(2.0)
+DELAY_MAX = 200e-9
 
-    def __post_init__(self):
-        # written as `not (...)` so that NaN fails too
-        for name in ("n_clusters", "n_rays"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError("%s must be positive and finite" % name)
-        for name in ("delay_max", "ray_angle_std"):
-            v = getattr(self, name)
-            if not (v >= 0 and math.isfinite(v)):
-                raise ValueError("%s must be non-negative and finite" % name)
-        # a delay acts only as a phase of period N_FFT / SAMPLE_RATE, one OFDM symbol
-        if self.delay_max > N_FFT / SAMPLE_RATE:
-            raise ValueError("delay_max must be at most one OFDM symbol, N_FFT / SAMPLE_RATE "
-                             "= %.6g s" % (N_FFT / SAMPLE_RATE))
+
+def check_delay_max(delay_max: float) -> None:
+    # written as `not (...)` so that NaN fails too
+    if not (delay_max >= 0 and math.isfinite(delay_max)):
+        raise ValueError("delay_max must be non-negative and finite")
+    # a delay acts only as a phase of period N_FFT / SAMPLE_RATE, one OFDM symbol
+    if delay_max > N_FFT / SAMPLE_RATE:
+        raise ValueError("delay_max must be at most one OFDM symbol, N_FFT / SAMPLE_RATE "
+                         "= %.6g s" % (N_FFT / SAMPLE_RATE))
 
 
 @dataclass(frozen=True)
@@ -58,39 +53,42 @@ class PathComponent:
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     paths: list
-    gain_scale: float  # sqrt(n_rx*n_tx / n_paths), fixes E||H||_F^2 = n_rx*n_tx
     n_tx: int
     n_rx: int
 
+    @property
+    def gain_scale(self) -> float:
+        """sqrt(n_rx*n_tx / n_paths), which fixes E||H||_F^2 = n_rx*n_tx."""
+        return math.sqrt(self.n_rx * self.n_tx / len(self.paths))
 
-def sample_channel(params: ChannelParams, n_tx: int, n_rx: int,
-                   rng: np.random.Generator) -> ChannelRealization:
+
+def sample_channel(n_tx: int, n_rx: int, rng: np.random.Generator,
+                   delay_max: float = DELAY_MAX) -> ChannelRealization:
     """Draw one realization.
 
     Per cluster: mean AoD/AoA uniform over ANGLE_RANGE, one shared delay
-    uniform on [0, delay_max]. Per ray: Laplace angle offsets with the
-    requested standard deviation (scale = std/sqrt(2)) and a complex
-    normal gain of unit variance. Angles clip to the array's field of
-    view rather than wrapping.
+    uniform on [0, delay_max]. Per ray: Laplace angle offsets of standard
+    deviation RAY_ANGLE_STD (scale = std/sqrt(2)) and a complex normal
+    gain of unit variance. Angles clip to the array's field of view
+    rather than wrapping.
     """
     if n_tx < 1 or n_rx < 1:
         raise ValueError("n_ant must be positive")
+    check_delay_max(delay_max)
     lo, hi = ANGLE_RANGE
-    scale = params.ray_angle_std / math.sqrt(2.0)
+    scale = RAY_ANGLE_STD / math.sqrt(2.0)
     sigma = math.sqrt(0.5)
     paths = []
-    for c in range(params.n_clusters):
+    for c in range(N_CLUSTERS):
         mean_aod = rng.uniform(lo, hi)
         mean_aoa = rng.uniform(lo, hi)
-        delay = rng.uniform(0.0, params.delay_max)
-        for r in range(params.n_rays):
+        delay = rng.uniform(0.0, delay_max)
+        for r in range(N_RAYS):
             aod = float(np.clip(mean_aod + rng.laplace(0.0, scale), lo, hi))
             aoa = float(np.clip(mean_aoa + rng.laplace(0.0, scale), lo, hi))
             gain = complex(rng.normal(0.0, sigma), rng.normal(0.0, sigma))
             paths.append(PathComponent(gain, delay, aod, aoa, c, r))
-    n_paths = params.n_clusters * params.n_rays
-    gain_scale = math.sqrt(n_rx * n_tx / n_paths)
-    return ChannelRealization(paths, gain_scale, n_tx, n_rx)
+    return ChannelRealization(paths, n_tx, n_rx)
 
 
 def freq_channel(ch: ChannelRealization, subcarriers) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import codebooks
 from .arrays import build_grid
-from .channel import ChannelParams, sample_channel
+from .channel import DELAY_MAX, N_CLUSTERS, N_RAYS, check_delay_max, sample_channel
 from .codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
                         designed_codebook, dft_codebook, group_columns,
                         multi_beam_dft_codebook, random_codebook)
@@ -106,7 +106,7 @@ class ExperimentConfig:
     n_tx_entries: int = 64
     n_rx_entries: int = 2
     n_pilots: int = 10
-    delay_max: float = ChannelParams.delay_max
+    delay_max: float = DELAY_MAX
     snr_db: tuple[float, ...] = tuple(float(v) for v in range(-30, 35, 5))
     n_trials: int = 500
     methods: tuple[str, ...] = METHODS[:3]
@@ -126,12 +126,7 @@ class ExperimentConfig:
     @property
     def effective_sparsity(self) -> int:
         """OMP's pick count, one per channel path; the benchmark checks reports against it."""
-        return ChannelParams.n_clusters * ChannelParams.n_rays
-
-    @property
-    def channel_params(self) -> ChannelParams:
-        """The channel of every trial: ChannelParams' defaults at this delay_max."""
-        return ChannelParams(delay_max=self.delay_max)
+        return N_CLUSTERS * N_RAYS
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
@@ -160,7 +155,7 @@ class ExperimentConfig:
                 raise ValueError("phase_bits=%d has no exact-modulus phasor table at %s=%d"
                                  % (self.phase_bits, name, getattr(self, name))) from None
         pilots(self.n_pilots)  # checks the pilot count
-        self.channel_params  # its constructor checks delay_max
+        check_delay_max(self.delay_max)
 
         def first(declares):  # the first requested method whose row declares it, or None
             return next((m for m in self.methods if declares(_METHODS[m])), None)
@@ -205,6 +200,11 @@ class ExperimentConfig:
             raise ValueError("workers must be positive")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+        # emit_csv makes out_dir and its missing parents only after the run
+        out = Path(self.out_dir)
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ValueError("out_dir: %s exists and is not a directory" % existing)
 
 
 def _seed(master: int, *parts: int) -> np.random.SeedSequence:
@@ -246,7 +246,7 @@ def _build_assets(cfg: ExperimentConfig) -> dict:
 
 def _run_trial(t: int, cfg: ExperimentConfig, assets: dict) -> list:
     ch_rng = np.random.default_rng(_seed(cfg.master_seed, _TAG_CHANNEL, t))
-    ch = sample_channel(cfg.channel_params, cfg.n_ant_bs, cfg.n_ant_ue, ch_rng)
+    ch = sample_channel(cfg.n_ant_bs, cfg.n_ant_ue, ch_rng, cfg.delay_max)
     truth = true_pairs(ch, cfg.n_tx_beams, cfg.n_rx_beams)
     n_pairs = len(truth)
     h = pilot_response(ch, cfg.n_pilots)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from beamcs.arrays import beam_sin_values, build_grid
-from beamcs.channel import ChannelParams, ChannelRealization, PathComponent, sample_channel
+from beamcs.channel import ChannelRealization, PathComponent, sample_channel
 from beamcs.codebooks import (designed_codebook, dft_codebook, group_columns,
                               multi_beam_dft_codebook, total_coherence)
 from beamcs.detect import BeamPair, cs_detect, exhaustive_search, omp, true_pairs
@@ -92,11 +92,10 @@ def strongest_positions(default_run):
     _run_trial; beam_index_errors orders its entries by sorted(truth).
     """
     cfg, _, _ = default_run
-    params = cfg.channel_params
     positions = {}
     for t in range(cfg.n_trials):
         rng = np.random.default_rng(_seed(cfg.master_seed, _TAG_CHANNEL, t))
-        ch = sample_channel(params, cfg.n_ant_bs, cfg.n_ant_ue, rng)
+        ch = sample_channel(cfg.n_ant_bs, cfg.n_ant_ue, rng, cfg.delay_max)
         strongest = ch.paths[int(np.argmax(np.abs([p.gain for p in ch.paths])))]
         pair, = true_pairs(replace(ch, paths=[strongest]), cfg.n_tx_beams, cfg.n_rx_beams)
         truth = sorted(true_pairs(ch, cfg.n_tx_beams, cfg.n_rx_beams))
@@ -236,7 +235,7 @@ def test_criterion_6a_channel_forms_agree():
     rng = np.random.default_rng(61)
     worst = 0.0
     for _ in range(50):
-        ch = sample_channel(ChannelParams(), 64, 8, rng)
+        ch = sample_channel(64, 8, rng)
         ks = (0, 1024, 2043, 4095)
         for k, h in zip(ks, freq_channel(ch, ks)):
             a_rx, h_d, a_tx = factorized_channel(ch, k)
@@ -293,8 +292,7 @@ def test_criterion_6d_combined_noise_covariance():
     noise_var = 0.7
     tx_cb = dft_codebook(8, 1, 6)
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
-    silent = ChannelRealization([PathComponent(0.0 + 0.0j, 0.0, 0.1, -0.2, 0, 0)],
-                                1.0, 8, 8)
+    silent = ChannelRealization([PathComponent(0.0 + 0.0j, 0.0, 0.1, -0.2, 0, 0)], 8, 8)
     w = np.concatenate([rx_cb.entries[j] for j in range(2)], axis=1)
     want = noise_var * (w.conj().T @ w)
     rng = np.random.default_rng(64)
@@ -321,7 +319,7 @@ def test_criterion_7_noiseless_on_grid_end_to_end():
         re, im = rng.standard_normal(2)
         path = PathComponent(complex(re, im) / math.sqrt(2), float(rng.uniform(0, 200e-9)),
                              math.asin(tx_sins[bt]), math.asin(rx_sins[br]), 0, 0)
-        ch = ChannelRealization([path], math.sqrt(64 * 8), 64, 8)
+        ch = ChannelRealization([path], 64, 8)
         truth = true_pairs(ch, 64, 8)
         assert truth == {BeamPair(bt, br)}
         y = acquire(sweep_signal(pilot_response(ch, 10), tx_cb, rx_cb), rx_cb, 0.0,
@@ -352,7 +350,7 @@ def test_criterion_8_worker_count_invariance(tmp_path):
 
 def test_criterion_9_detection_probability_matches_theory():
     # One path exactly on tx beam 5 of 64 and rx beam 3 of 8 with |g| = 1,
-    # scaled by the gain of a one-path sample_channel. The exact 6-bit DFT
+    # scaled by a one-path channel's gain_scale sqrt(512). The exact 6-bit DFT
     # codebooks put its energy 512 on one of the 512 pairs, and at grid
     # multiplier 1 the operator is orthogonal, so ES and one OMP pick have
     # closed forms (tests/oracles.py). ES sums energy over the pilots; OMP
@@ -363,14 +361,12 @@ def test_criterion_9_detection_probability_matches_theory():
     rx_cb = group_columns(dft_codebook(8, 8, 6), 4)
     op = build_sensing_operator(tx_cb, rx_cb, build_grid(64, 1), build_grid(8, 1))
     assert not op.aliased
-    one_path = sample_channel(ChannelParams(n_clusters=1, n_rays=1), 64, 8,
-                              np.random.default_rng(0))
     truth = (BeamPair(5, 3),)
     n_draws = 1000
     for delay in (0.0, 200e-9):
         path = PathComponent(1.0 + 0.0j, delay, math.asin(beam_sin_values(64)[5]),
                              math.asin(beam_sin_values(8)[3]), 0, 0)
-        signal = sweep_signal(pilot_response(replace(one_path, paths=[path]), 10), tx_cb, rx_cb)
+        signal = sweep_signal(pilot_response(ChannelRealization([path], 64, 8), 10), tx_cb, rx_cb)
         c = pilot_mean_coherence(delay, pilots(10))
         for snr in (-30.0, -28.0, -26.0):
             noise_var = 10.0 ** (-snr / 10.0)

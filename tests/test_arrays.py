@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from beamcs.arrays import beam_sin_values, build_grid, steering_vector
-from beamcs.channel import ChannelParams, sample_channel
+from beamcs.channel import sample_channel
 
 
 def test_steering_broadside_is_constant():
@@ -40,8 +40,8 @@ def test_steering_unit_norm_and_conjugate_symmetry():
 @pytest.mark.parametrize("build", [
     lambda n: steering_vector(n, 0.0),
     lambda n: build_grid(n, 1),
-    lambda n: sample_channel(ChannelParams(), n, 8, np.random.default_rng(0)),
-    lambda n: sample_channel(ChannelParams(), 64, n, np.random.default_rng(0)),
+    lambda n: sample_channel(n, 8, np.random.default_rng(0)),
+    lambda n: sample_channel(64, n, np.random.default_rng(0)),
 ], ids=["steering_vector", "build_grid", "sample_channel_tx", "sample_channel_rx"])
 def test_nonpositive_n_ant_rejected(build, n_ant):
     with pytest.raises(ValueError, match="^n_ant must be positive$"):

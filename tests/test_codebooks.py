@@ -8,10 +8,9 @@ from scipy.stats import chi2
 
 from beamcs import codebooks
 from beamcs.arrays import build_grid
-from beamcs.codebooks import (KIND_DESIGNED, KIND_DFT, KIND_MULTI_BEAM, KIND_RANDOM,
-                              Codebook, _phasor_table, designed_codebook, dft_codebook,
-                              group_columns, multi_beam_dft_codebook, random_codebook,
-                              total_coherence)
+from beamcs.codebooks import (KIND_DESIGNED, KIND_MULTI_BEAM, _phasor_table, designed_codebook,
+                              dft_codebook, group_columns, multi_beam_dft_codebook,
+                              random_codebook, total_coherence)
 from oracles import quantize_phases
 
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from beamcs import detect
 from beamcs.arrays import beam_sin_values, build_grid
-from beamcs.channel import ChannelParams, ChannelRealization, PathComponent, sample_channel
+from beamcs.channel import ChannelRealization, PathComponent, sample_channel
 from beamcs.codebooks import (_nearest_index, designed_codebook, dft_codebook,
                               group_columns, multi_beam_dft_codebook, random_codebook)
 from beamcs.detect import (BeamPair, beam_index_errors, cs_detect, exhaustive_search, omp,
@@ -19,8 +19,7 @@ from oracles import DenseOperator, residual, stacked_omp, to_dense
 
 
 def make_channel(paths, n_bs=64, n_ue=8):
-    scale = math.sqrt(n_bs * n_ue / len(paths))
-    return ChannelRealization(list(paths), scale, n_bs, n_ue)
+    return ChannelRealization(list(paths), n_bs, n_ue)
 
 
 def on_beam_path(tx_beam, rx_beam, n_tx=64, n_rx=8, gain=1.0 + 0.0j, delay=0.0):
@@ -49,7 +48,7 @@ def test_true_pairs_matches_brute_force():
 
     rng = np.random.default_rng(17)
     for _ in range(25):
-        ch = sample_channel(ChannelParams(), 64, 8, rng)
+        ch = sample_channel(64, 8, rng)
         got = true_pairs(ch, 64, 8)
         tx_sins, rx_sins = beam_sin_values(64), beam_sin_values(8)
         want = set()
@@ -116,7 +115,7 @@ def test_exhaustive_search_finds_aligned_path():
 
 
 def test_exhaustive_search_matches_brute_force_ranking():
-    ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(21))
+    ch = sample_channel(64, 8, np.random.default_rng(21))
     tx, rx = dft_pair_codebooks()
     y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.5, np.random.default_rng(22))
     n_pairs = 5
@@ -218,7 +217,7 @@ def test_gram_omp_matches_the_residual_loop_on_one_block():
         op = build_sensing_operator(tx, rx, grid, build_grid(8, 3))
         assert not op.aliased
         for seed in range(3):
-            ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(seed))
+            ch = sample_channel(64, 8, np.random.default_rng(seed))
             signal = sweep_signal(pilot_response(ch, 10), tx, rx)
             for snr_db in snrs:
                 y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
@@ -242,7 +241,7 @@ def test_batched_omp_rows_equal_the_rows_fitted_alone_bitwise():
     for tx in txs:
         op = build_sensing_operator(tx, rx, grid, build_grid(8, 3))
         for seed in range(2):
-            ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(seed))
+            ch = sample_channel(64, 8, np.random.default_rng(seed))
             signal = sweep_signal(pilot_response(ch, 10), tx, rx)
             ys = np.stack([acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
                                    np.random.default_rng(300 + seed)).mean(axis=0).reshape(-1)
@@ -344,7 +343,7 @@ def test_cs_detect_fills_from_the_residual_when_support_pairs_coincide():
     tx = multi_beam_dft_codebook(128, 64, 6)
     op = build_sensing_operator(tx, rx, build_grid(128, 3), build_grid(8, 3))
     assert op.aliased
-    ch = sample_channel(ChannelParams(), 128, 8, np.random.default_rng(17))
+    ch = sample_channel(128, 8, np.random.default_rng(17))
     y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.1, np.random.default_rng(117))
     out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=5)[0]
     assert len(support_pairs(op, out, 128)) == 4
@@ -368,7 +367,7 @@ def test_cs_detect_high_snr_monte_carlo_single_beam_rate():
     hits = 0
     n = 500
     for t in range(n):
-        ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(10_000 + t))
+        ch = sample_channel(64, 8, np.random.default_rng(10_000 + t))
         truth = true_pairs(ch, 64, 8)
         y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, noise_var,
                     np.random.default_rng(20_000 + t))
@@ -402,7 +401,7 @@ def test_cs_detect_block_fit_matches_the_stacked_dense_fit():
         assert not op.aliased
         dense = DenseOperator(to_dense(op, 2))
         for seed in range(2):
-            ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(seed))
+            ch = sample_channel(64, 8, np.random.default_rng(seed))
             signal = sweep_signal(pilot_response(ch, 2), tx, rx)
             for snr_db in (-10.0, 10.0, 30.0):
                 y = acquire(signal, rx, 10.0 ** (-snr_db / 10.0),
@@ -425,7 +424,7 @@ def test_cs_detect_fits_an_aliased_operator_on_the_stacked_pilots(monkeypatch):
 
     monkeypatch.setattr(detect, "_stacked_omp", recorded_omp)
     for seed in range(3):
-        ch = sample_channel(ChannelParams(), 128, 8, np.random.default_rng(seed))
+        ch = sample_channel(128, 8, np.random.default_rng(seed))
         y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.01,
                     np.random.default_rng(50 + seed))
         out = cs_detect(op, [y], sparsity=6, n_tx_beams=128, n_rx_beams=8, n_pairs=2)[0]
@@ -440,7 +439,7 @@ def test_cs_detect_fits_each_aliased_measurement_before_reading_the_next(monkeyp
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     op = build_sensing_operator(tx, rx, build_grid(128, 3), build_grid(8, 3))
     assert op.aliased
-    ch = sample_channel(ChannelParams(), 128, 8, np.random.default_rng(4))
+    ch = sample_channel(128, 8, np.random.default_rng(4))
     signal = sweep_signal(pilot_response(ch, 2), tx, rx)
     drawn = []
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -34,7 +35,7 @@ def test_default_config_matches_nominal_setup():
     cfg.validate()
 
 
-def test_validate_rejects_bad_configs():
+def test_validate_rejects_bad_configs(tmp_path):
     with pytest.raises(ValueError, match="unknown method"):
         ExperimentConfig(methods=("OMP",)).validate()
     with pytest.raises(ValueError, match="must not be empty"):
@@ -134,6 +135,16 @@ def test_validate_rejects_bad_configs():
             ExperimentConfig(**{name: value}).validate()
     ExperimentConfig(snr_db=[0.0, 5], methods=["ES"], out_dir=Path("out"),
                      delay_max=np.float32(2e-7)).validate()
+    # these ran every trial and then failed in emit_csv with "[Errno 17] File
+    # exists" or "[Errno 20] Not a directory", naming no field
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    for out_dir in (afile, afile / "sub", str(afile / "sub" / "deeper")):
+        with pytest.raises(ValueError, match="^out_dir: %s exists and is not a directory$"
+                                             % re.escape(str(afile))):
+            ExperimentConfig(out_dir=out_dir).validate()
+    ExperimentConfig(out_dir=tmp_path / "new" / "sub").validate()
+    assert not (tmp_path / "new").exists()
 
 
 def test_validate_holds_the_es_energy_below_the_float_range():
@@ -614,6 +625,19 @@ def test_main_cli_rejects_too_many_pilots_and_removed_keys(tmp_path, capsys):
         assert main(["--config", str(p), "--trials", "1", "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == "error: %s\n" % line
     assert not (tmp_path / "r").exists()
+
+
+def test_main_cli_rejects_a_file_as_out_dir_before_any_trial(tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(beamcs.experiment, "sample_channel", no_trial)
+    for out_dir in (afile, afile / "sub"):
+        assert main(["--trials", "40", "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: out_dir: %s exists and is not a directory\n" % afile)
 
 
 def test_main_cli_rejects_bad_snr(tmp_path, capsys):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from beamcs.detect import BeamPair
-from beamcs.metrics import (GroupStats, TrialRecord, all_beam_match, detection_probability,
-                            single_beam_match)
+from beamcs.metrics import TrialRecord, all_beam_match, detection_probability, single_beam_match
 
 
 def test_all_beam_match_is_set_equality():

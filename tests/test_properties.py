@@ -174,8 +174,7 @@ def test_true_pairs_snaps_a_path_sine_to_the_circular_argmin(n, sin):
     angle = math.asin(sin)
     want = _nearest_beam_oracle(n, Fraction(math.sin(angle)))
     assume(want is not None)
-    ch = ChannelRealization([PathComponent(1.0 + 0.0j, 0.0, angle, angle, 0, 0)], 1.0,
-                            1, 1)
+    ch = ChannelRealization([PathComponent(1.0 + 0.0j, 0.0, angle, angle, 0, 0)], 1, 1)
     assert true_pairs(ch, n, n) == {BeamPair(want, want)}
 
 

@@ -66,3 +66,24 @@ def test_every_sha256_literal_sits_in_the_pin_selection():
                     for name in readers:
                         assert "bytes" in name or "digest" in name, (path.name, name)
     assert found
+
+
+def test_every_imported_name_is_read():
+    # __init__.py imports its exports; every other module reads what it imports
+    root = TESTS.parent
+    paths = [p for p in sorted((root / "src" / "beamcs").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py")) + sorted((root / "demos").glob("*.py"))
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        unread += ["%s:%d %s" % (path.relative_to(root), line, name)
+                   for name, line in imported.items() if name not in read]
+    assert not unread

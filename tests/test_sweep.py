@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import beamcs.sweep
 from beamcs.arrays import beam_sin_values, build_grid, steering_vector
 from beamcs.channel import (N_FFT, SAMPLE_RATE, ChannelRealization, PathComponent,
-                            sample_channel, ChannelParams, freq_channel)
+                            sample_channel, freq_channel)
 from beamcs.codebooks import (Codebook, designed_codebook, dft_codebook, group_columns,
                               multi_beam_dft_codebook, random_codebook)
 from beamcs.sweep import (acquire, build_sensing_operator, parallel_columns, pilot_response,
@@ -41,7 +41,7 @@ def test_transmit_vectors_unit_norm_and_single_column():
 
 def test_measurement_vector_length_and_energy_layout():
     bs, ue = 64, 8
-    ch = sample_channel(ChannelParams(), bs, ue, np.random.default_rng(1))
+    ch = sample_channel(bs, ue, np.random.default_rng(1))
     tx = dft_codebook(64, 64, 6)
     rx = group_columns(dft_codebook(8, 8, 6), 4)
     y = acquire(sweep_signal(pilot_response(ch, 10), tx, rx), rx, 0.1, np.random.default_rng(2))
@@ -60,7 +60,7 @@ def test_measurement_vector_length_and_energy_layout():
 
 
 def default_sweep_inputs():
-    ch = sample_channel(ChannelParams(), 64, 8, np.random.default_rng(1))
+    ch = sample_channel(64, 8, np.random.default_rng(1))
     return ch, dft_codebook(64, 64, 6), group_columns(dft_codebook(8, 8, 6), 4)
 
 
@@ -109,7 +109,7 @@ def test_acquire_rejects_bad_noise_var():
 def test_noiseless_aligned_measurement_closed_form():
     bs, ue = 32, 8
     path = PathComponent(gain=0.8 - 0.3j, delay=50e-9, aod=0.4, aoa=-0.7, cluster=0, ray=0)
-    ch = ChannelRealization([path], gain_scale=np.sqrt(32 * 8), n_tx=bs, n_rx=ue)
+    ch = ChannelRealization([path], n_tx=bs, n_rx=ue)
     tx = raw_codebook(steering_vector(bs, path.aod)[None, :, None])
     rx = raw_codebook(steering_vector(ue, path.aoa)[None, :, None])
     y = acquire(sweep_signal(pilot_response(ch, 4), tx, rx), rx, 0.0, np.random.default_rng(0))
@@ -125,8 +125,7 @@ def test_noiseless_aligned_measurement_closed_form():
 def test_combined_noise_covariance_is_shaped_by_combiner():
     # zero channel, many tx slots: each block is an i.i.d. stacked noise draw
     bs, ue = 4, 8
-    ch = ChannelRealization([PathComponent(0.0, 0.0, 0.1, 0.2, 0, 0)],
-                            gain_scale=1.0, n_tx=bs, n_rx=ue)
+    ch = ChannelRealization([PathComponent(0.0, 0.0, 0.1, 0.2, 0, 0)], n_tx=bs, n_rx=ue)
     rng = np.random.default_rng(9)
     rx = random_codebook(8, 1, 4, 6, rng)
     tx = random_codebook(4, 200, 1, 6, rng)
@@ -301,7 +300,7 @@ def test_noiseless_on_grid_acquire_equals_operator_apply():
     tx_sins, rx_sins = beam_sin_values(tx_grid.shape[1]), beam_sin_values(rx_grid.shape[1])
     paths = [PathComponent(g, 0.0, np.arcsin(tx_sins[bt]), np.arcsin(rx_sins[br]), i, 0)
              for i, (g, (bt, br)) in enumerate(zip(gains, bins))]
-    ch = ChannelRealization(paths, gain_scale=np.sqrt(16 * 8 / 2), n_tx=bs, n_rx=ue)
+    ch = ChannelRealization(paths, n_tx=bs, n_rx=ue)
     rng = np.random.default_rng(3)
     tx = random_codebook(16, 12, 1, 6, rng)
     rx = random_codebook(8, 2, 3, 6, rng)
@@ -363,7 +362,7 @@ def test_broadcast_response_and_one_product_sweep_match_their_loops():
         for delay_max in (0.0, 200e-9):
             for n_pilots in (1, 10, 127):
                 for i in range(38):
-                    ch = sample_channel(ChannelParams(delay_max=delay_max), n_ant, ue, rng)
+                    ch = sample_channel(n_ant, ue, rng, delay_max)
                     h = pilot_response(ch, n_pilots)
                     assert h.tobytes() == freq_channel_loop(ch, pilots(n_pilots)).tobytes()
                     tx, rx = txs[i % 3], rxs[i % 2]
